@@ -7,7 +7,9 @@ from scipy.optimize import lsq_linear
 
 from .errors import RankDeficiencyError
 
-# Scale-aware default used for membership and rank decisions throughout.
+# Relative tolerance for membership and rank decisions: it is compared only
+# with dimensionless quantities (coordinates of unit-normalized data, or
+# singular values over the largest one).
 BASE_TOL = 1e-9
 
 
@@ -45,26 +47,23 @@ def as_vector(a, name="vector"):
     return v
 
 
-def membership_tol(vectors):
-    """Tolerance for cone membership and rank decisions.
-
-    Scales with the largest generator norm so verdicts are invariant under
-    uniform rescaling of well-conditioned data.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vectors.size == 0:
-        return BASE_TOL
-    norms = np.linalg.norm(vectors, axis=1)
-    return BASE_TOL * (1.0 + float(norms.max(initial=0.0)))
+def unit_columns(a):
+    """``(a / norms, norms)`` with every nonzero column of ``a`` scaled to unit
+    2-norm; zero columns are left as they are (their norm is reported as 1)."""
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    return a / norms, norms
 
 
 def numerical_rank(a, tol=None):
+    """Number of singular values above ``tol``, by default ``BASE_TOL`` times
+    the largest, so that ``rank(s * a) == rank(a)`` for every ``s > 0``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if tol is None:
-        tol = BASE_TOL * (1.0 + float(s[0]))
+        tol = BASE_TOL * float(s[0])
     return int(np.sum(s > tol))
 
 
@@ -80,10 +79,3 @@ def require_independent(vectors, name="vectors"):
         )
     return vectors
 
-
-def rel_norm(residual, reference):
-    """Max-norm of ``residual`` relative to max(1, max-norm of ``reference``)."""
-    residual = np.asarray(residual, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    scale = max(1.0, float(np.abs(reference).max(initial=0.0)))
-    return float(np.abs(residual).max(initial=0.0)) / scale

@@ -4,8 +4,11 @@ Everything here works with finitely generated nonnegative cones
 ``{sum_i alpha_i a_i : alpha_i >= 0}``. The central objects are biorthogonal
 dual systems (used as membership certificates), generating subsets, and the
 full parametrization of the strictly positive solutions of ``C @ y = psi``
-when ``psi`` lies in the interior of the cone spanned by the columns of
-``C``.
+when ``psi`` lies in the interior of a full-rank subcone of the columns of
+``C``. Whether a strictly positive solution exists, and which subcone holds
+``psi`` in its interior, are decided by HiGHS linear programs. Decisions use
+unit-normalized generators, a target of unit max-norm and the dimensionless
+``BASE_TOL``, so verdicts do not depend on the currency unit.
 
 Conventions: functions that take "a set of vectors" expect an array whose
 *rows* are the vectors; the matrix ``C`` of a linear system keeps its
@@ -14,24 +17,28 @@ generators in *columns*.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import linprog
 
 from ._numerics import (
+    BASE_TOL,
     as_matrix,
     as_vector,
-    membership_tol,
     nnls_solve,
     numerical_rank,
     require_independent,
+    unit_columns,
 )
 from .errors import (
     DegenerateTargetError,
     EmptyMatrixError,
     InfeasibleError,
+    NonConvergenceError,
     OutsideConeError,
     RankDeficiencyError,
 )
@@ -186,44 +193,55 @@ def biorthogonal_system(vectors):
     return BiorthogonalSystem(primal=primal, dual=dual, base_size=m)
 
 
-def classify_membership(vectors, b, tol=None):
+def classify_membership(vectors, b):
     """Classify ``b`` against the cone of the independent rows of ``vectors``.
 
-    Returns a :class:`MembershipResult` whose ``alpha`` holds every dual
-    product ``<f_i, b>``; for an interior verdict the first ``m`` entries
-    are the (strictly positive) cone coordinates of ``b``.
+    The verdict compares ``BASE_TOL`` with the coordinates of ``b / max|b|``
+    in unit-normalized generators, so it does not depend on the units of
+    either. Returns a :class:`MembershipResult` whose ``alpha`` holds every
+    dual product ``<f_i, b>`` in the caller's units; for an interior verdict
+    the first ``m`` entries are the (strictly positive) cone coordinates of
+    ``b``.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     b = as_vector(b, "b")
-    system = biorthogonal_system(v)
-    if tol is None:
-        tol = membership_tol(v)
-    alpha = system.coefficients(b)
+    units, norms = unit_columns(v.T)
+    system = biorthogonal_system(units.T)
+    scale = float(np.abs(b).max(initial=0.0)) or 1.0
+    coords = system.coefficients(b / scale)
     m = system.base_size
-    in_span = np.all(np.abs(alpha[m:]) <= tol)
-    if not in_span:
+    alpha = coords * scale
+    alpha[:m] /= norms
+    if np.any(np.abs(coords[m:]) > BASE_TOL):
         return MembershipResult(Membership.OUTSIDE, alpha)
-    head = alpha[:m]
-    if np.all(head > tol):
+    head = coords[:m]
+    if np.all(head > BASE_TOL):
         return MembershipResult(Membership.INTERIOR, alpha)
-    if np.all(head >= -tol):
+    if np.all(head >= -BASE_TOL):
         return MembershipResult(Membership.BOUNDARY, alpha)
     return MembershipResult(Membership.OUTSIDE, alpha)
 
 
-def in_cone(vectors, b, tol=None):
+def in_cone(vectors, b):
     """Nonnegative-combination membership in a general finite cone.
 
     Unlike :func:`classify_membership` the rows of ``vectors`` need not be
     independent. Returns ``(member, coefficients)`` where ``coefficients``
-    solve the nonnegative least-squares problem.
+    solve the nonnegative least-squares problem; ``b`` is a member when the
+    residual is at most ``BASE_TOL`` times ``||b||``.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     b = as_vector(b, "b")
-    if tol is None:
-        tol = membership_tol(v)
     coeff, rnorm = nnls_solve(v.T, b)
-    return bool(rnorm <= tol * (1.0 + np.linalg.norm(b))), coeff
+    return bool(rnorm <= BASE_TOL * np.linalg.norm(b)), coeff
+
+
+def _separation(C, psi):
+    """``(w, argmax|w|)`` for the NNLS residual ``w = psi - C @ x``, which has
+    ``<w, C_j> <= 0`` for all j and ``<w, psi> = |w|^2 > 0`` outside the cone."""
+    x, _ = nnls_solve(C, psi)
+    w = psi - C @ x
+    return w, int(np.argmax(np.abs(w)))
 
 
 def generating_set(cone):
@@ -239,17 +257,16 @@ def generating_set(cone):
         v = as_matrix(np.atleast_2d(np.asarray(cone, dtype=float)), "generators")
     t = v.shape[0]
     norms = np.linalg.norm(v, axis=1)
-    tol = membership_tol(v)
-    if np.all(norms <= tol):
+    if not np.any(norms > 0):
         raise EmptyMatrixError("all generators are zero", which="generators")
 
-    alive = [i for i in range(t) if norms[i] > tol]
+    alive = [i for i in range(t) if norms[i] > BASE_TOL * norms.max()]
     # Drop positively proportional duplicates first so ties resolve to the
     # lowest index rather than to elimination order.
     units = {i: v[i] / norms[i] for i in alive}
     kept = []
     for i in alive:
-        if any(np.linalg.norm(units[i] - units[j]) <= tol for j in kept):
+        if any(np.linalg.norm(units[i] - units[j]) <= BASE_TOL for j in kept):
             continue
         kept.append(i)
     alive = kept
@@ -261,7 +278,7 @@ def generating_set(cone):
             others = [j for j in alive if j != i]
             if not others:
                 continue
-            member, _ = in_cone(v[others], v[i], tol)
+            member, _ = in_cone(v[others], v[i])
             if member:
                 alive.remove(i)
                 changed = True
@@ -269,13 +286,10 @@ def generating_set(cone):
     return tuple(alive)
 
 
-def _independent_subsets(columns, r, indices=None):
+def _independent_subsets(columns, r):
     """Yield index tuples of r linearly independent columns, lexicographically."""
-    n, l = columns.shape
-    pool = range(l) if indices is None else indices
-    count = 0
-    for subset in itertools.combinations(pool, r):
-        count += 1
+    subsets = itertools.combinations(range(columns.shape[1]), r)
+    for count, subset in enumerate(subsets, start=1):
         if count > _MAX_SUBSETS:
             raise InfeasibleError(
                 f"column-subset enumeration exceeded {_MAX_SUBSETS} candidates"
@@ -284,43 +298,64 @@ def _independent_subsets(columns, r, indices=None):
             yield subset
 
 
-def _find_interior_subset(C, psi, tol):
-    """First independent r-subset of columns whose subcone has psi interior.
+def interior_subset(C, psi):
+    """Independent columns of ``C`` whose subcone has ``psi`` in its interior.
 
-    Returns ``(subset, result)`` or ``(None, best)`` where ``best`` is the
-    closest-to-interior candidate seen (used for error reporting).
+    Tries the support of a simplex vertex of ``{z >= 0 : A z = psi / max|psi|}``
+    (``A`` the unit-normalized columns of ``C``), then, when that is not an
+    interior subcone, every independent subset in lexicographic order. Returns
+    ``(subset, result)``, or ``(None, best)`` with ``best`` the first boundary
+    verdict met (None when ``psi`` is outside the cone).
     """
+    C = as_matrix(C, "C")
+    psi = as_vector(psi, "psi")
     r = numerical_rank(C)
+    A, _ = unit_columns(C)
+    scale = float(np.abs(psi).max(initial=0.0)) or 1.0
+    vertex = linprog(np.ones(C.shape[1]), A_eq=A, b_eq=psi / scale,
+                     bounds=(0, None), method="highs")
+    if vertex.status == 2:
+        return None, None
+    if vertex.status == 0:
+        # Basic coordinates of the vertex are cone coordinates in exactly the
+        # normalization classify_membership decides on.
+        support = tuple(int(j) for j in np.flatnonzero(vertex.x > BASE_TOL))
+        if len(support) == r:
+            with contextlib.suppress(RankDeficiencyError):
+                res = classify_membership(C[:, support].T, psi)
+                if res.verdict is Membership.INTERIOR:
+                    return support, res
     best = None
     for subset in _independent_subsets(C, r):
-        res = classify_membership(C[:, subset].T, psi, tol=tol)
+        res = classify_membership(C[:, subset].T, psi)
         if res.verdict is Membership.INTERIOR:
             return subset, res
         if res.verdict is Membership.BOUNDARY and best is None:
-            best = (subset, res)
+            best = res
     return None, best
 
 
 def positive_solution_family(C, psi, subset=None):
     """Parametrize the strictly positive solutions of ``C @ y = psi``.
 
-    Requires ``psi`` interior to the cone of the columns of ``C`` and to the
-    subcone of some full-rank column subset (searched automatically unless
-    ``subset`` is given). Raises :class:`OutsideConeError` when ``psi`` is
-    not in the cone and :class:`DegenerateTargetError` when it only touches
-    the boundary of every candidate subcone.
+    Requires ``psi`` interior to the subcone of some full-rank column subset,
+    found by :func:`interior_subset` unless ``subset`` is given. The family
+    is built from the biorthogonal system of that subset: one extreme
+    solution per free column, and weights ``gamma`` interior to a polytope.
+    Raises :class:`OutsideConeError` when ``psi`` is not in the cone and
+    :class:`DegenerateTargetError` when it is interior to no full-rank
+    subcone; :func:`strictly_positive_solution` still decides such targets.
     """
     C = as_matrix(C, "C")
     psi = as_vector(psi, "psi")
     n, l = C.shape
     if psi.shape[0] != n:
         raise ValueError(f"psi has length {psi.shape[0]}, expected {n}")
-    tol = membership_tol(C.T)
     r = numerical_rank(C)
 
     if subset is not None:
         subset = tuple(int(i) for i in subset)
-        res = classify_membership(C[:, subset].T, psi, tol=tol)
+        res = classify_membership(C[:, subset].T, psi)
         if res.verdict is not Membership.INTERIOR:
             raise DegenerateTargetError(
                 f"psi is not interior to the requested subcone {subset}",
@@ -328,28 +363,26 @@ def positive_solution_family(C, psi, subset=None):
                 certificate=res.alpha,
             )
     else:
-        subset, best = _find_interior_subset(C, psi, tol)
+        subset, res = interior_subset(C, psi)
+        if subset is None and res is None:
+            certificate, index = _separation(C, psi)
+            raise OutsideConeError(
+                "psi lies outside the cone of the columns of C",
+                certificate=certificate,
+                dual_index=index,
+            )
         if subset is None:
-            member, coeff = in_cone(C.T, psi, tol)
-            if not member:
-                # Farkas-style separating vector from the NNLS residual.
-                residual = C @ coeff - psi
-                raise OutsideConeError(
-                    "psi lies outside the cone of the columns of C",
-                    certificate=-residual,
-                    dual_index=int(np.argmax(np.abs(residual))),
-                )
-            res = best[1] if best is not None else None
             raise DegenerateTargetError(
                 "psi touches only the boundary of every full-rank subcone",
-                dual_index=_first_violated(res, r) if res is not None else None,
-                certificate=res.alpha if res is not None else None,
+                dual_index=_first_violated(res, r),
+                certificate=res.alpha,
             )
 
     free = tuple(i for i in range(l) if i not in set(subset))
     system = biorthogonal_system(C[:, subset].T)
     F = system.dual[:r]  # rows f_1..f_r
     alpha = F @ psi  # <psi, f_k>, strictly positive
+    tol = BASE_TOL * alpha  # roundoff in each coordinate, in its own units
 
     nfree = len(free)
     z = np.zeros((nfree + 1, l))
@@ -358,7 +391,10 @@ def positive_solution_family(C, psi, subset=None):
     A = np.zeros((r, nfree))
     for j, i in enumerate(free):
         ci = F @ C[:, i]  # <C_i, f_k>
-        positive = ci > tol
+        # Coordinate k runs out at weight alpha_k / ci_k; rates below
+        # BASE_TOL of the fastest one are roundoff.
+        rate = ci / alpha
+        positive = rate > BASE_TOL * float(np.abs(rate).max())
         if positive.any():
             ystar[j] = float(np.min(alpha[positive] / ci[positive]))
         else:
@@ -388,7 +424,7 @@ def positive_solution_family(C, psi, subset=None):
 
 def _first_violated(result, m):
     head = result.alpha[:m]
-    bad = np.where(head <= membership_tol(result.alpha[None, :]))[0]
+    bad = np.where(head <= 0)[0]
     return int(bad[0]) if bad.size else int(np.argmin(head))
 
 
@@ -420,105 +456,69 @@ def _interior_gamma(polytope):
     return at(0.5 * lo)
 
 
-def strictly_positive_solution(C, psi):
-    """A strictly positive ``y`` with ``C @ y = psi``.
+def max_margin(C, psi):
+    """``(t, y)`` maximizing ``t`` s.t. ``C @ y = psi``, ``y >= t``, ``t <= 1``,
+    or None when ``psi`` lies outside the column cone.
 
-    First tries :func:`positive_solution_family`. When ``psi`` is interior
-    to the full column cone but to no single full-rank subcone, splits
-    ``psi = (psi1 + psi2) / 2`` with each half interior to a distinct
-    subcone (perturbation toward a subcone barycenter, step size found by
-    bisection) and averages the two family base points.
+    One HiGHS linear program on unit-normalized columns and a target of unit
+    max-norm, so ``t`` is unit-free; ``y`` (nonnegative, strictly positive
+    iff ``t > 0``) is rescaled to the caller's units. Raises
+    :class:`NonConvergenceError` when HiGHS fails or ``y`` fails the residual
+    check at the feasibility tolerance HiGHS was given, ``BASE_TOL``.
     """
     C = as_matrix(C, "C")
     psi = as_vector(psi, "psi")
-    tol = membership_tol(C.T)
-    try:
-        return positive_solution_family(C, psi).base_point
-    except OutsideConeError as exc:
+    n, l = C.shape
+    if psi.shape[0] != n:
+        raise ValueError(f"psi has length {psi.shape[0]}, expected {n}")
+    A, norms = unit_columns(C)
+    scale = float(np.abs(psi).max(initial=0.0)) or 1.0
+    b = psi / scale
+    # With z = w + t and w >= 0 the bounds z >= t become column sums.
+    cost = np.zeros(l + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_eq=np.hstack([A, A.sum(axis=1, keepdims=True)]), b_eq=b,
+                  bounds=[(0, None)] * l + [(0, 1)], method="highs",
+                  options={"primal_feasibility_tolerance": BASE_TOL})
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise NonConvergenceError(f"cone linear program failed: {res.message}")
+    t = float(res.x[-1])
+    z = np.maximum(res.x[:-1], 0.0) + t
+    residual = float(np.abs(A @ z - b).max())
+    if residual > BASE_TOL * max(1.0, float(z.max())):
+        raise NonConvergenceError(
+            f"cone linear program residual {residual:.3e} exceeds tolerance",
+            residual=residual,
+        )
+    return t, z * (scale / norms)
+
+
+def strictly_positive_solution(C, psi):
+    """A strictly positive ``y`` with ``C @ y = psi``, from :func:`max_margin`.
+
+    Raises :class:`InfeasibleError` when ``psi`` lies outside the column
+    cone (``detail["status"] == "outside"``, with a separating
+    ``"certificate"`` and its largest entry ``"dual_index"``) or when the
+    optimal margin ``t`` does not exceed ``BASE_TOL`` (``"boundary"``, with
+    ``"t"``). Every returned solution has its residual verified.
+    """
+    C = as_matrix(C, "C")
+    psi = as_vector(psi, "psi")
+    found = max_margin(C, psi)
+    if found is None:
+        certificate, index = _separation(C, psi)
         raise InfeasibleError(
             "no strictly positive solution: psi lies outside the column cone",
-            detail={"dual_index": exc.dual_index, "certificate": exc.certificate},
-        ) from exc
-    except DegenerateTargetError:
-        pass
-
-    r = numerical_rank(C)
-    gen = generating_set(C.T)
-    subsets = [s for s in _independent_subsets(C, r, indices=gen)]
-    touching = [
-        s
-        for s in subsets
-        if classify_membership(C[:, s].T, psi, tol=tol).verdict
-        is not Membership.OUTSIDE
-    ]
-    failed_duals = []
-    for s1 in touching:
-        bary = C[:, s1].mean(axis=1)
-        direction = bary - psi
-        if np.linalg.norm(direction) <= tol:
-            continue
-        split = _bisect_split(C, psi, direction, s1, subsets, tol)
-        if split is None:
-            continue
-        t, s2 = split
-        y1 = positive_solution_family(C, psi + t * direction, subset=s1).base_point
-        y2 = positive_solution_family(C, psi - t * direction, subset=s2).base_point
-        y = 0.5 * (y1 + y2)
-        if np.all(y > 0):
-            return y
-    for s in subsets:
-        res = classify_membership(C[:, s].T, psi, tol=tol)
-        failed_duals.append(_first_violated(res, len(s)))
-    raise InfeasibleError(
-        "no strictly positive solution found for psi",
-        detail={
-            "failing_dual_per_subcone": failed_duals,
-            "common_dual_index": max(set(failed_duals), key=failed_duals.count)
-            if failed_duals
-            else None,
-        },
-    )
-
-
-def _bisect_split(C, psi, direction, s1, subsets, tol):
-    """Largest step t with psi + t*dir interior to s1's subcone and
-    psi - t*dir interior to some other subcone; None if no step works."""
-
-    def host(t):
-        point = psi - t * direction
-        for s2 in subsets:
-            if s2 == s1:
-                continue
-            res = classify_membership(C[:, s2].T, point, tol=tol)
-            if res.verdict is Membership.INTERIOR:
-                if (
-                    classify_membership(
-                        C[:, s1].T, psi + t * direction, tol=tol
-                    ).verdict
-                    is Membership.INTERIOR
-                ):
-                    return s2
-        return None
-
-    t = 1.0
-    found = None
-    while t > 1e-12:
-        s2 = host(t)
-        if s2 is not None:
-            found = (t, s2)
-            break
-        t *= 0.5
-    if found is None:
-        return None
-    # Push the step as high as it will go while both halves stay interior.
-    lo, s2_lo = found
-    hi = 1.0
-    if lo < hi:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            s2 = host(mid)
-            if s2 is not None:
-                lo, s2_lo = mid, s2
-            else:
-                hi = mid
-    return lo, s2_lo
+            detail={"status": "outside", "certificate": certificate,
+                    "dual_index": index},
+        )
+    t, y = found
+    if t <= BASE_TOL:
+        raise InfeasibleError(
+            "no strictly positive solution: psi lies on the boundary of the "
+            "column cone",
+            detail={"status": "boundary", "t": t},
+        )
+    return y

@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import cone_geometry
-from ._numerics import as_matrix, as_vector, membership_tol, nnls_solve, numerical_rank
+from ._numerics import BASE_TOL, as_matrix, as_vector, nnls_solve, numerical_rank
 from .cone_geometry import Membership, classify_membership
 from .errors import (
     DegenerateTargetError,
@@ -105,7 +105,7 @@ def _support_strongly_connected(B1, tol):
 def _classify_factor(C, B, B1):
     B1 = np.asarray(B1, dtype=float)
     residual = float(np.abs(B - C @ B1).max(initial=0.0))
-    tol = membership_tol(C.T)
+    tol = BASE_TOL * (1.0 + float(np.abs(B1).max(initial=0.0)))  # B1 is dimensionless
     low = float(B1.min())
     nonnegative = bool(low >= -tol)
     strictly_positive = bool(low > tol)
@@ -153,19 +153,18 @@ def factor_supply(C, B, rank_subset=None) -> Factorization:
         )
 
     psi = B.sum(axis=1)
-    tol = membership_tol(C.T)
     if rank_subset is not None:
         subset = tuple(int(i) for i in rank_subset)
         if len(subset) != n:
             raise ValueError(f"rank_subset must list {n} columns, got {len(subset)}")
-        res = classify_membership(C[:, subset].T, psi, tol=tol)
+        res = classify_membership(C[:, subset].T, psi)
         if res.verdict is not Membership.INTERIOR:
             raise DegenerateTargetError(
                 f"aggregate supply is not interior to the subcone {subset}",
                 certificate=res.alpha,
             )
     else:
-        subset, _ = cone_geometry._find_interior_subset(C, psi, tol)
+        subset, _ = cone_geometry.interior_subset(C, psi)
         if subset is None:
             raise DegenerateTargetError(
                 "aggregate supply is not interior to any full-rank column subcone"
@@ -192,12 +191,16 @@ def factor_supply(C, B, rank_subset=None) -> Factorization:
         B1[list(subset), :] = np.linalg.solve(Cm, B)
 
     fact = _classify_factor(C, B, B1)
-    if fact.residual > _FACTOR_TOL * (1.0 + float(np.abs(B).max(initial=0.0))):
+    if not _residual_ok(fact, B):
         raise NonConvergenceError(
             f"factor residual {fact.residual:.3e} exceeds tolerance",
             residual=fact.residual,
         )
     return fact
+
+
+def _residual_ok(fact, B):
+    return fact.residual <= _FACTOR_TOL * (1.0 + float(np.abs(B).max(initial=0.0)))
 
 
 def _span_factor(C, B, tol):
@@ -208,29 +211,28 @@ def _span_factor(C, B, tol):
     return B1
 
 
-def _nonneg_factor(C, B, tol):
-    """Columnwise nonnegative factor; strictly positive where possible."""
-    n, l = C.shape
+def _nonneg_solution(C, b):
+    """Nonnegative y with ``C @ y = b``, strictly positive where possible, or
+    None when ``b`` lies outside the cone of the columns of ``C`` or the
+    solution cannot be verified (no factor is certified from it then)."""
+    try:
+        found = cone_geometry.max_margin(C, b)
+    except NonConvergenceError:
+        return None
+    return None if found is None else found[1]
+
+
+def _nonneg_factor(C, B):
+    """Columnwise nonnegative factor, or None at the first column outside
+    the cone of the columns of ``C``."""
+    l = C.shape[1]
     B1 = np.zeros((l, l))
     for i in range(l):
-        try:
-            B1[:, i] = cone_geometry.strictly_positive_solution(C, B[:, i])
-            continue
-        except (InfeasibleError, ValueError):
-            pass
-        coeff, rnorm = nnls_solve(C, B[:, i])
-        if rnorm > tol * (1.0 + np.linalg.norm(B[:, i])):
+        column = _nonneg_solution(C, B[:, i])
+        if column is None:
             return None
-        B1[:, i] = coeff
+        B1[:, i] = column
     return B1
-
-
-def _row_sum_target(C, psi, tol):
-    """Nonnegative y with C @ y = psi, or None."""
-    y, rnorm = nnls_solve(C, psi)
-    if rnorm > tol * (1.0 + np.linalg.norm(psi)):
-        return None
-    return y
 
 
 def _with_row_sums(C, B1, target):
@@ -250,6 +252,12 @@ def _side_margin(C, B, I, y):
     return float(slack.min())
 
 
+def _strict_notes(fact):
+    if fact.strictly_positive:
+        return ()
+    return ("factor is indecomposable but not strictly positive",)
+
+
 def _side_tol(B):
     return 1e-9 * (1.0 + float(B.sum(axis=1).max(initial=0.0)))
 
@@ -260,7 +268,8 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
     Tries, in order: strict on all goods, strict of rank ``|I|``, weak on
     all goods, weak of rank ``|I|``. The rank-``|I|`` labels additionally
     require strict inequalities (demand below supply) on the goods outside
-    ``I``. ``none`` is a valid outcome, not an error.
+    ``I``. Every certified factor has its residual verified. ``none`` is a
+    valid outcome, not an error.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
@@ -275,16 +284,12 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
         if I[0] < 0 or I[-1] >= n:
             raise ValueError(f"clearing subset {I} out of range for {n} goods")
 
-    notes = []
-
-    B1 = _nonneg_factor(C, B, tol)
+    B1 = _nonneg_factor(C, B)
     if B1 is not None:
         fact = _classify_factor(C, B, B1)
-        if fact.mode == "strict":
-            if not fact.strictly_positive:
-                notes.append("factor is indecomposable but not strictly positive")
+        if fact.mode == "strict" and _residual_ok(fact, B):
             return ConsistencyCertificate(
-                "strict", fact, clearing_set=tuple(range(n)), notes=tuple(notes)
+                "strict", fact, clearing_set=tuple(range(n)), notes=_strict_notes(fact)
             )
 
     if I is not None and len(I) < n:
@@ -294,47 +299,40 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
 
     span = _span_factor(C, B, tol)
     if span is not None:
-        y = _row_sum_target(C, B.sum(axis=1), tol)
+        y = _nonneg_solution(C, B.sum(axis=1))
         if y is not None:
             fact = _classify_factor(C, B, _with_row_sums(C, span, y))
-            if fact.mode in ("strict", "weak"):
-                return ConsistencyCertificate(
-                    "weak", fact, clearing_set=tuple(range(n)), notes=tuple(notes)
-                )
+            if fact.mode in ("strict", "weak") and _residual_ok(fact, B):
+                return ConsistencyCertificate("weak", fact, clearing_set=tuple(range(n)))
 
     if I is not None and len(I) < n:
         sub = _certify_rows(C, B, I, want_strict=False)
         if sub is not None:
             return sub
 
-    return ConsistencyCertificate("none", None, notes=tuple(notes))
+    return ConsistencyCertificate("none", None)
 
 
 def _certify_rows(C, B, I, want_strict):
     """Rank-|I| certification on the row block I with off-I side inequalities."""
-    n, l = C.shape
     rows = list(I)
-    off = [k for k in range(n) if k not in set(I)]
     CI, BI = C[rows, :], B[rows, :]
     tol = _FACTOR_TOL * (1.0 + float(np.abs(BI).max(initial=0.0)))
     side_tol = _side_tol(B)
 
     if want_strict:
-        B1 = _nonneg_factor(CI, BI, tol)
+        B1 = _nonneg_factor(CI, BI)
         if B1 is None:
             return None
         fact = _classify_factor(CI, BI, B1)
-        if fact.mode != "strict":
+        if fact.mode != "strict" or not _residual_ok(fact, BI):
             return None
         margin = _side_margin(C, B, I, fact.row_sums)
         if margin <= side_tol:
             return None
-        notes = ()
-        if not fact.strictly_positive:
-            notes = ("factor is indecomposable but not strictly positive",)
         return ConsistencyCertificate(
             "strict-of-rank-|I|", fact, clearing_set=tuple(I),
-            side_margin=margin, notes=notes,
+            side_margin=margin, notes=_strict_notes(fact),
         )
 
     span = _span_factor(CI, BI, tol)
@@ -344,7 +342,7 @@ def _certify_rows(C, B, I, want_strict):
     if y is None:
         return None
     fact = _classify_factor(CI, BI, _with_row_sums(CI, span, y))
-    if fact.mode not in ("strict", "weak"):
+    if fact.mode not in ("strict", "weak") or not _residual_ok(fact, BI):
         return None
     margin = _side_margin(C, B, I, fact.row_sums)
     if margin <= side_tol:

@@ -35,6 +35,7 @@ from .errors import (
 DEFAULT_TOL = 1e-6
 DEFAULT_TOL_INNER = 1e-10
 MAX_INNER_ITERATIONS = 200_000
+STALL_EVALUATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,8 @@ def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
     steps the linear tail is extrapolated (vector Aitken); the jump is kept
     only when it strictly shrinks the residual, and the best point seen is
     restored (once, disabling further jumps) if the orbit ever drifts far
-    above it. Deterministic; returns (p, map evaluations, converged).
+    above it. Deterministic; returns (p, map evaluations, exit), the exit being
+    "converged", "stalled" (no new best residual in ``STALL_EVALUATIONS``) or "cap".
     """
     g = _regularized_map(C, B, psi, p, epsilon)
     evals = 1
@@ -252,8 +254,8 @@ def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
     while evals < cap:
         resid = float(np.abs(g - p).max())
         if resid <= tol_stage:
-            return p, evals, True
-        if evals - evals_at_best > 2000:
+            return p, evals, "converged"
+        if evals - evals_at_best > STALL_EVALUATIONS:
             break  # stalled: no progress on the best residual; let the
             # caller root-find the stage instead of burning the budget
         if resid < best_resid:
@@ -285,7 +287,8 @@ def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
         g = _regularized_map(C, B, psi, p, epsilon)
         evals += 1
         it += 1
-    return best_p if best_resid < float(np.abs(g - p).max()) else p, evals, False
+    stage_exit = "cap" if evals >= cap else "stalled"
+    return best_p if best_resid < float(np.abs(g - p).max()) else p, evals, stage_exit
 
 
 def _newton_stage(C, B, psi, p, epsilon, tol_stage):
@@ -380,11 +383,11 @@ def solve_fixed_point(
     for m, epsilon in enumerate(epsilons):
         is_last = m == len(epsilons) - 1
         tol_stage = tol_inner if is_last else max(tol_inner, epsilon * 1e-2)
-        p, used, converged = _run_stage(
+        p, used, stage_exit = _run_stage(
             C, B, psi, p, epsilon, damping, tol_stage, max_inner
         )
         iterations += used
-        if not converged:
+        if stage_exit != "converged":
             # Root-find the stage fixed point directly, then verify it; the
             # damped orbit can stall when the map is barely contractive.
             p_root, used_root = _newton_stage(C, B, psi, p, epsilon, tol_stage)
@@ -393,9 +396,12 @@ def solve_fixed_point(
                 residual = float(
                     np.abs(_regularized_map(C, B, psi, p, epsilon) - p).max()
                 )
+                reason = (f"stalled after {used} map evaluations (no new best residual "
+                          f"in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
+                          f"hit the {max_inner}-evaluation cap after {used} map evaluations")
                 raise NonConvergenceError(
-                    f"stage epsilon={epsilon:.3e} hit the {max_inner}-iteration "
-                    f"cap with residual {residual:.3e}",
+                    f"stage epsilon={epsilon:.3e} {reason}, and root finding "
+                    f"failed; residual {residual:.3e}",
                     residual=residual,
                     iterations=iterations,
                     epsilon=epsilon,

@@ -1,5 +1,6 @@
 """Shared instance generators and independent oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,35 @@ def exact_rank(rows):
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
+
+
+def exact_strictly_positive_exists(columns, rhs):
+    """Whether ``C y = rhs`` has a solution with every ``y_j > 0``, exactly.
+
+    ``columns`` lists the columns of ``C``. Such a solution exists iff
+    ``rhs - eps * sum_j C_j`` lies in the cone of the columns for some
+    ``eps > 0``. By Caratheodory that cone is the union of the cones of the
+    bases of the column span; with ``alpha`` the coordinates of ``rhs`` and
+    ``beta`` those of ``sum_j C_j`` in one basis, small ``eps`` stay inside
+    its cone iff every ``alpha_k > 0``, or ``alpha_k = 0`` and ``beta_k <= 0``.
+    """
+    cols = [tuple(map(Fraction, c)) for c in columns]
+    rhs = tuple(map(Fraction, rhs))
+    total = tuple(sum(c[k] for c in cols) for k in range(len(rhs)))
+    r = exact_rank(cols)
+    if r == 0:
+        return not any(rhs)
+    for subset in itertools.combinations(range(len(cols)), r):
+        basis = [cols[j] for j in subset]
+        if exact_rank(basis) < r:
+            continue
+        alpha = exact_solve(basis, rhs)
+        if alpha is None:
+            return False  # every basis spans the same space
+        beta = exact_solve(basis, total)
+        if all(a > 0 or (a == 0 and b <= 0) for a, b in zip(alpha, beta)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_economy, random_ideal_triple, random_strict_instance
+from conftest import (
+    exact_strictly_positive_exists,
+    random_economy,
+    random_ideal_triple,
+    random_strict_instance,
+)
 from test_cone_geometry import lp_strictly_positive_exists
 from tradequil import (
     DegenerateTargetError,
@@ -93,7 +98,8 @@ def _rational_matrix(rng, n, l):
 
 
 def test_positive_solution_family_vs_oracle():
-    """50 rational instances: members solve the system; positivity matches LP."""
+    """50 rational instances: members solve the system; positivity matches
+    the exact rational oracle (and the LP oracle agrees with it)."""
     rng = np.random.default_rng(4)
     checked = 0
     while checked < 50:
@@ -106,20 +112,22 @@ def test_positive_solution_family_vs_oracle():
             psi = C @ (rng.integers(1, 5, size=l).astype(float) / 2.0)
         else:
             psi = rng.integers(0, 7, size=n).astype(float) / 2.0
-        oracle = lp_strictly_positive_exists(C, psi)
+        oracle = exact_strictly_positive_exists(
+            [tuple(C[:, j]) for j in range(l)], tuple(psi))
+        assert lp_strictly_positive_exists(C, psi) == oracle
         try:
             family = positive_solution_family(C, psi)
         except (DegenerateTargetError, OutsideConeError, InfeasibleError):
             family = None
         if family is not None:
-            assert oracle, "family built where the LP oracle finds none"
+            assert oracle, "family built where the exact oracle finds none"
             scale = 1.0 + np.abs(psi).max()
             for gamma in _gamma_samples(family, rng, count=5):
                 member = family.member(gamma)
                 assert np.all(member > 0)
                 assert np.abs(C @ member - psi).max() <= 1e-8 * scale
         else:
-            # The decomposition route must agree with the oracle exactly.
+            # The linear-program route must agree with the oracle exactly.
             try:
                 y = strictly_positive_solution(C, psi)
                 ours = bool(

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,21 +7,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import exact_membership, exact_rank
+from conftest import exact_membership, exact_rank, exact_strictly_positive_exists
 from tradequil import (
     DegenerateTargetError,
     EmptyMatrixError,
     InfeasibleError,
     Membership,
+    NonConvergenceError,
     OutsideConeError,
     RankDeficiencyError,
     biorthogonal_system,
     classify_membership,
     generating_set,
+    interior_subset,
     positive_solution_family,
     strictly_positive_solution,
 )
-from tradequil.cone_geometry import in_cone
+from tradequil import cone_geometry
+from tradequil._numerics import numerical_rank
+from tradequil.cone_geometry import in_cone, max_margin
 
 
 def lp_strictly_positive_exists(C, psi):
@@ -181,6 +186,53 @@ class TestGeneratingSet:
                 assert member
 
 
+class TestInteriorSubset:
+    def test_against_exact_subcone_oracle(self, rng):
+        # Whatever subset the LP vertex (or the enumeration behind it) picks
+        # must have psi exactly interior, and None must mean that no
+        # independent subset of rank(C) columns has psi interior.
+        found = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            l = int(rng.integers(n, 6))
+            C = rng.integers(0, 4, size=(n, l)).astype(float)
+            if not C.any():
+                continue
+            if rng.uniform() < 0.7:
+                psi = C @ rng.integers(0, 3, size=l).astype(float)
+            else:
+                psi = rng.integers(0, 5, size=n).astype(float)
+            cols = [tuple(C[:, j]) for j in range(l)]
+            r = exact_rank(cols)
+            subset, res = interior_subset(C, psi)
+            if subset is not None:
+                assert len(subset) == r
+                assert exact_membership([cols[j] for j in subset], tuple(psi)) == "interior"
+                assert res.verdict is Membership.INTERIOR
+                found += 1
+            else:
+                for cand in itertools.combinations(range(l), r):
+                    basis = [cols[j] for j in cand]
+                    if exact_rank(basis) == r:
+                        assert exact_membership(basis, tuple(psi)) != "interior"
+        assert found >= 20
+
+    def test_outside_target_has_no_subset(self):
+        assert interior_subset(np.eye(2), np.array([-1.0, 1.0])) == (None, None)
+
+
+class TestNumericalRank:
+    def test_rank_ignores_units(self, rng):
+        for _ in range(20):
+            n, l = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            k = int(rng.integers(1, min(n, l) + 1))
+            A = rng.uniform(0.1, 1.0, (n, k)) @ rng.uniform(0.1, 1.0, (k, l))
+            rank = numerical_rank(A)
+            assert rank == k
+            for s in (1e-12, 1e-9, 1e-3, 1e6, 1e12):
+                assert numerical_rank(s * A) == rank
+
+
 class TestPositiveSolutionFamily:
     def test_worked_parametrization_exact(self):
         C = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -292,7 +344,61 @@ class TestStrictlyPositiveSolution:
         with pytest.raises(InfeasibleError):
             strictly_positive_solution(np.eye(2), np.array([1.0, 0.0]))
 
+    def test_boundary_target_decided_by_one_program(self, monkeypatch):
+        # psi = 3 C_0 on an extreme ray of a positive 6x10 cone: the only
+        # nonnegative solution is 3 e_0. The generating-set check (least
+        # squares, no LP) confirms that C_0 is extreme.
+        C = np.random.default_rng(0).uniform(0.1, 1.0, (6, 10))
+        assert 0 in generating_set(C.T)
+        calls = []
+        real = cone_geometry.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cone_geometry, "linprog", counted)
+        for scale in (1.0, 1e9):
+            calls.clear()
+            with pytest.raises(InfeasibleError) as err:
+                strictly_positive_solution(scale * C, 3 * scale * C[:, 0])
+            assert len(calls) <= 2
+            assert err.value.detail["status"] == "boundary"
+            t, y = max_margin(scale * C, 3 * scale * C[:, 0])
+            assert t <= 1e-9
+            np.testing.assert_allclose(y, 3 * np.eye(10)[0], atol=1e-9)
+
+    def test_outside_target_carries_a_separating_certificate(self, rng):
+        for _ in range(20):
+            C = rng.uniform(0.0, 1.0, (3, 5))
+            psi = -rng.uniform(0.1, 1.0, 3)
+            psi[0] = 1.0
+            with pytest.raises(InfeasibleError) as err:
+                strictly_positive_solution(C, psi)
+            detail = err.value.detail
+            assert detail["status"] == "outside"
+            w = detail["certificate"]
+            assert w @ psi > 0
+            assert np.all(C.T @ w <= 1e-12 * np.abs(w).max())
+            assert detail["dual_index"] == int(np.argmax(np.abs(w)))
+
+    def test_unverified_program_answer_is_not_returned(self, monkeypatch):
+        # A HiGHS answer whose residual fails the check is a solver failure,
+        # never a solution or an infeasibility verdict.
+        real = cone_geometry.linprog
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x[0] += 1e-6
+            return res
+
+        monkeypatch.setattr(cone_geometry, "linprog", perturbed)
+        with pytest.raises(NonConvergenceError):
+            strictly_positive_solution(np.eye(2), np.array([1.0, 1.0]))
+
     def test_agreement_with_lp_oracle(self, rng):
+        # The implementation is itself an LP, so the exact rational oracle
+        # is the independent check; the LP oracle must agree with it too.
         agree = 0
         for _ in range(40):
             n = int(rng.integers(1, 4))
@@ -304,12 +410,14 @@ class TestStrictlyPositiveSolution:
                 psi = C @ (rng.integers(1, 4, size=l).astype(float) / 2.0)
             else:
                 psi = rng.integers(0, 6, size=n).astype(float)
-            oracle = lp_strictly_positive_exists(C, psi)
+            exact = exact_strictly_positive_exists(
+                [tuple(C[:, j]) for j in range(l)], tuple(psi))
+            assert lp_strictly_positive_exists(C, psi) == exact
             try:
                 y = strictly_positive_solution(C, psi)
                 ours = bool(np.all(y > 0) and np.abs(C @ y - psi).max() <= 1e-8)
             except (InfeasibleError, ValueError):
                 ours = False
-            assert ours == oracle
+            assert ours == exact
             agree += 1
         assert agree >= 20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_strict_instance
+from conftest import random_economy, random_strict_instance
 from tradequil import (
     DegenerateTargetError,
     DivisionGuardError,
@@ -10,12 +10,15 @@ from tradequil import (
     PreconditionError,
     RankDeficiencyError,
     certify_consistency,
+    classify_membership,
     construct_ideal_supply,
     construct_supply,
     factor_supply,
     price_from_D,
     solve_D,
+    strictly_positive_solution,
 )
+from tradequil import cone_geometry
 
 
 def make_fact(B1, **overrides):
@@ -280,3 +283,117 @@ class TestStrictSufficiency:
             assert clearing.max() <= 1e-6 * max(1.0, B.sum(axis=1).max())
             done += 1
         assert done == 15
+
+
+def _factor_residual_ok(cert, C, B):
+    rows = list(cert.clearing_set)
+    residual = np.abs(B[rows] - C[rows] @ cert.factorization.B1).max()
+    return residual <= 1e-8 * (1.0 + np.abs(B[rows]).max())
+
+
+class TestCertifiedResiduals:
+    def test_dollar_scale_instance(self):
+        # At 1e9 this economy used to be certified weak with a factor whose
+        # residual was 1.8 % of max|B|: the row-sum target was accepted with
+        # a tolerance scaled twice. At unit scale it is certified none.
+        rng = np.random.default_rng(0)
+        C = rng.uniform(0.1, 1.0, (3, 4))
+        B = rng.uniform(0.0, 1.0, (3, 4))
+        B *= C.sum() / B.sum()
+        cert = certify_consistency(1e9 * C, 1e9 * B)
+        assert cert.label == certify_consistency(C, B).label
+        if cert.factorization is not None:
+            assert _factor_residual_ok(cert, 1e9 * C, 1e9 * B)
+
+    def test_every_certified_factor_solves_its_block(self, rng):
+        for _ in range(40):
+            C, B = random_economy(rng, n_max=4, l_max=5)
+            I = tuple(range(max(1, C.shape[0] - 1)))
+            for scale in (1.0, 1e9):
+                for clearing in (None, I):
+                    cert = certify_consistency(scale * C, scale * B, clearing)
+                    if cert.factorization is not None:
+                        assert _factor_residual_ok(cert, scale * C, scale * B)
+
+
+class TestUnverifiedFactor:
+    def test_ill_conditioned_demand_is_certified_or_declined(self, rng):
+        # Nearly parallel columns: the cone programs must neither raise nor
+        # let an inaccurate factor through.
+        for _ in range(20):
+            C = rng.uniform(0.1, 1.0, (3, 5))
+            C[:, 3] = C[:, 0] * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, 3))
+            C[:, 4] = C[:, 1] + 1e-7 * C[:, 2]
+            B = rng.uniform(0.0, 1.0, (3, 5))
+            B *= C.sum() / B.sum()
+            for scale in (1.0, 1e9):
+                for clearing in (None, (0, 1)):
+                    cert = certify_consistency(scale * C, scale * B, clearing)
+                    if cert.factorization is not None:
+                        assert _factor_residual_ok(cert, scale * C, scale * B)
+
+    def test_unverified_program_answer_downgrades_the_label(self, monkeypatch):
+        # The diagonal economy is strict; when every cone program answer
+        # fails its residual check, no factor may be certified from it and
+        # certify_consistency still returns a label instead of raising.
+        C = np.array([[2.0, 0.0], [0.0, 3.0]])
+        B = np.array([[1.0, 1.0], [1.0, 2.0]])
+        assert certify_consistency(C, B).label == "strict"
+        real = cone_geometry.linprog
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x[0] += 1e-6
+            return res
+
+        monkeypatch.setattr(cone_geometry, "linprog", perturbed)
+        assert certify_consistency(C, B).label == "none"
+
+
+def _outcome(fn):
+    """Return value, or the class name of the typed error raised."""
+    try:
+        return fn()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+class TestUnitInvariance:
+    SCALES = (1e-3, 1e6, 1e12)
+
+    def test_verdicts_do_not_depend_on_the_currency_unit(self, rng):
+        for _ in range(30):
+            C, B = random_economy(rng, n_max=6, l_max=8)
+            n, l = C.shape
+            psi = B.sum(axis=1)
+            m = min(n, l)
+
+            def verdicts(s):
+                member = _outcome(lambda: classify_membership(s * C[:, :m].T, s * psi))
+                positive = _outcome(lambda: strictly_positive_solution(s * C, s * psi))
+                factor = _outcome(lambda: factor_supply(s * C, s * B))
+                label = certify_consistency(s * C, s * B).label
+                return member, positive, factor, label
+
+            base = verdicts(1.0)
+            for s in self.SCALES:
+                got = verdicts(s)
+                if isinstance(base[0], str):
+                    assert got[0] == base[0]
+                else:
+                    # Cone coordinates are unit-free; off-span coefficients
+                    # of the axes carry the unit of psi.
+                    assert got[0].verdict is base[0].verdict
+                    np.testing.assert_allclose(got[0].alpha[:m], base[0].alpha[:m],
+                                               rtol=1e-9, atol=1e-12)
+                    np.testing.assert_allclose(got[0].alpha[m:], s * base[0].alpha[m:],
+                                               rtol=1e-9, atol=1e-12 * s)
+                if isinstance(base[1], str):
+                    assert got[1] == base[1]
+                else:
+                    np.testing.assert_allclose(got[1], base[1], rtol=1e-6)
+                if isinstance(base[2], str):
+                    assert got[2] == base[2]
+                else:
+                    assert got[2].mode == base[2].mode
+                assert got[3] == base[3]

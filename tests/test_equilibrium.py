@@ -15,6 +15,7 @@ from tradequil import (
     is_equilibrium,
     solve_fixed_point,
 )
+from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS
 
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
 SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -165,6 +166,25 @@ class TestSolveFixedPoint:
             solve_fixed_point(C, B, tol_inner=1e-30, max_inner=3000)
         assert err.value.residual is not None
         assert err.value.epsilon is not None
+
+    def test_stall_exit_is_reported_as_a_stall(self):
+        # The 1e-30 residual is out of reach, so the best residual stops
+        # improving and the stage leaves through its stall exit long before
+        # the evaluation cap; the error must say so, not blame the cap.
+        C = np.array([[1.0], [1.0]])
+        B = np.array([[2.0], [1.0]])
+        with pytest.raises(NonConvergenceError,
+                           match=r"stalled after \d+ map evaluations") as err:
+            solve_fixed_point(C, B, tol_inner=1e-30)
+        assert "cap" not in str(err.value)
+        assert err.value.iterations < MAX_INNER_ITERATIONS
+
+    def test_cap_exit_is_reported_as_the_cap(self):
+        C = np.array([[1.0], [1.0]])
+        B = np.array([[2.0], [1.0]])
+        with pytest.raises(NonConvergenceError,
+                           match=r"hit the 50-evaluation cap after \d+ map evaluations"):
+            solve_fixed_point(C, B, tol_inner=1e-30, max_inner=50)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
