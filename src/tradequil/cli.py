@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .equilibrium_solver import (
     EpsilonSchedule,
     EquilibriumSolution,
-    PriceVector,
     excess_demand,
     solve_fixed_point,
 )
@@ -30,32 +28,6 @@ from .trade_data import CostMatrices, build_cost_matrices, read_flows_csv, share
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Solver settings shared by the solve and report commands."""
-
-    eps_start: float = 1e-2
-    eps_ratio: float = 4.0
-    eps_steps: int = 13
-    damping: float = 0.5
-    tol: float = 1e-6
-    tol_clear: float = 1e-6
-    tol_inner: float = 1e-10
-
-    def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
-        for name in ("tol", "tol_clear", "tol_inner"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # Delegates range checks; raises for a non-decreasing schedule.
-        EpsilonSchedule(self.eps_start, self.eps_ratio, self.eps_steps)
-
-    @property
-    def schedule(self):
-        return EpsilonSchedule(self.eps_start, self.eps_ratio, self.eps_steps)
 
 
 def _write_json(path, payload):
@@ -135,14 +107,6 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     for year, tensor in sorted(tensors.items()):
         cm = build_cost_matrices(tensor)
-        if args.balance_mode == "strict":
-            residual = float(cm.balances.sum())
-            scale = max(1.0, float(cm.B.sum()))
-            if abs(residual) > 1e-9 * scale:
-                raise SchemaError(
-                    f"year {year}: aggregate balance residual {residual:.6g} "
-                    "(use --balance-mode warn to accept)"
-                )
         payload = cm.to_dict()
         payload["year"] = year
         _write_json(out / f"matrices_{year}.json", payload)
@@ -161,20 +125,6 @@ def _load_matrices(path):
         raise SchemaError(f"cannot read matrices file {path}: {exc}") from exc
     cm = CostMatrices.from_dict(payload, balance_mode="warn")
     return cm, payload.get("year", "unknown")
-
-
-def _solve_and_report(cm, config):
-    solution = solve_fixed_point(
-        cm.C,
-        cm.B,
-        schedule=config.schedule,
-        damping=config.damping,
-        tol=config.tol,
-        tol_clear=config.tol_clear,
-        tol_inner=config.tol_inner,
-    )
-    report = degeneracy_report(solution, cm.C, cm.B, tol=config.tol)
-    return solution, report
 
 
 def _write_outputs(out, cm, solution, report, scenario):
@@ -197,21 +147,22 @@ def _write_outputs(out, cm, solution, report, scenario):
 
 
 def cmd_solve(args) -> int:
-    config = RunConfig(
-        eps_start=args.eps_start,
-        eps_ratio=args.eps_ratio,
-        eps_steps=args.eps_steps,
-        damping=args.damping,
-        tol=args.tol,
-        tol_clear=args.tol_clear,
-        tol_inner=args.tol_inner,
-    )
+    schedule = EpsilonSchedule(args.eps_start, args.eps_ratio, args.eps_steps)
     cm, scenario = _load_matrices(args.input)
     if args.year is not None and scenario != "unknown" and args.year != scenario:
         raise SchemaError(
             f"matrices file is for year {scenario}, not requested {args.year}"
         )
-    solution, report = _solve_and_report(cm, config)
+    solution = solve_fixed_point(
+        cm.C,
+        cm.B,
+        schedule=schedule,
+        damping=args.damping,
+        tol=args.tol,
+        tol_clear=args.tol_clear,
+        tol_inner=args.tol_inner,
+    )
+    report = degeneracy_report(solution, cm.C, cm.B, tol=args.tol)
     text = _write_outputs(args.out, cm, solution, report, scenario)
     print(text)
     return EXIT_OK
@@ -238,18 +189,8 @@ def cmd_report(args) -> int:
     cm, scenario = _load_matrices(args.matrices)
     try:
         with open(args.input, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        p0 = PriceVector.as_simplex(np.asarray(payload["p0"], dtype=float))
-        solution = EquilibriumSolution(
-            p0=p0,
-            clearing_set=tuple(int(k) - 1 for k in payload["I"]),
-            y=np.asarray(payload["y"], dtype=float),
-            excess=np.asarray(payload["excess"], dtype=float),
-            iterations=int(payload["iterations"]),
-            final_epsilon=float(payload["epsilon"]),
-            residual=float(payload["residual"]),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            solution = EquilibriumSolution.from_dict(json.load(handle))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"cannot read solution file {args.input}: {exc}") from exc
     report = degeneracy_report(solution, cm.C, cm.B)
     text = _write_outputs(args.out, cm, solution, report, scenario)
@@ -270,9 +211,6 @@ def build_parser():
     ingest.add_argument("--out", required=True, help="output directory")
     ingest.add_argument("--year", type=int, default=None,
                         help="keep only this year")
-    ingest.add_argument("--balance-mode", choices=("strict", "warn"),
-                        default="strict",
-                        help="fail or warn when balances do not sum to zero")
     ingest.add_argument("--countries", default=None,
                         help="comma-separated country universe")
     ingest.add_argument("--products", default=None,

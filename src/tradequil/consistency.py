@@ -5,7 +5,9 @@ factors through the demand matrix, ``B = C @ B1``. The quality of the
 factor (nonnegative and indecomposable, or merely with nonnegative row
 sums) decides whether a market-clearing price vector exists; the route to
 that price runs through a strictly positive eigenvector ``d`` of the
-factor and a nonnegative solve of ``C.T @ p = d``.
+factor and a nonnegative solve of ``C.T @ p = d``. The same route decides
+whether an ideal equilibrium exists: prices at which every agent's trade
+balance vanishes.
 """
 
 from __future__ import annotations
@@ -91,6 +93,28 @@ class ConsistencyCertificate:
     clearing_set: tuple | None = None
     side_margin: float | None = None
     notes: tuple = ()
+
+
+@dataclass(frozen=True)
+class IdealCheck:
+    ideal: bool
+    balances: np.ndarray
+    worst_agent: int
+    worst_balance: float
+
+    def __bool__(self):
+        return self.ideal
+
+
+@dataclass(frozen=True)
+class IdealExistence:
+    exists: bool
+    p0: np.ndarray | None
+    d: np.ndarray | None
+    reason: str | None
+
+    def __bool__(self):
+        return self.exists
 
 
 def _support_strongly_connected(B1, tol):
@@ -479,23 +503,43 @@ def _nullspace_positive(B1, y):
             "the one-dimensional eigen-space contains no positive vector",
             detail={"kernel": kernel},
         )
-    # Maximize the smallest component over the kernel, normalized to sum l.
-    dim = kernel.shape[1]
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-kernel, np.ones((l, 1))])
-    b_ub = np.zeros(l)
-    A_eq = np.hstack([kernel.sum(axis=0)[None, :], np.zeros((1, 1))])
-    b_eq = np.array([float(l)])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * dim + [(0, None)], method="highs")
-    if not res.success or res.x is None or res.x[-1] <= 0:
+    found = _positive_kernel_vector(kernel)
+    if found is None:
         raise InfeasibleError(
             "the eigen-space contains no strictly positive vector",
             detail={"kernel": kernel},
         )
-    d = kernel @ res.x[:-1]
+    d = found[0]
     return d * (l / d.sum())
+
+
+def _positive_kernel_vector(kernel, C=None):
+    """Strictly positive ``d = kernel @ w`` with ``sum(d) = l``, by one linear
+    program maximizing the smallest component of ``d``; given ``C``, also
+    ``d = C.T @ p`` with ``p >= 0``. Returns ``(d, p)`` (``p`` empty without
+    ``C``) or None.
+    """
+    l, dim = kernel.shape
+    n = 0 if C is None else C.shape[0]
+    # Variables: (p_1..p_n, w_1..w_dim, mu); maximize mu.
+    cost = np.zeros(n + dim + 1)
+    cost[-1] = -1.0
+    A_ub = np.hstack([np.zeros((l, n)), -kernel, np.ones((l, 1))])
+    b_ub = np.zeros(l)
+    A_eq = np.hstack([np.zeros(n), kernel.sum(axis=0), np.zeros(1)])[None, :]
+    b_eq = np.array([float(l)])
+    if C is not None:
+        A_eq = np.vstack([np.hstack([C.T, -kernel, np.zeros((l, 1))]), A_eq])
+        b_eq = np.append(np.zeros(l), float(l))
+    bounds = [(0, None)] * n + [(None, None)] * dim + [(0, None)]
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    if not res.success or res.x is None or res.x[-1] <= 1e-12:
+        return None
+    d = kernel @ res.x[n:n + dim]
+    if np.any(d <= 0):
+        return None
+    return d, res.x[:n]
 
 
 def price_from_D(C, d) -> PriceRecovery:
@@ -518,6 +562,89 @@ def price_from_D(C, d) -> PriceRecovery:
         return PriceRecovery(p0=p, residual=residual)
     certificate = d - C.T @ p
     return PriceRecovery(p0=None, residual=residual, certificate=certificate)
+
+
+def check_ideal(C, B, p) -> IdealCheck:
+    """Is every agent's trade balance zero at prices ``p``?
+
+    Balances are compared against ``1e-8 * <p, C_i>``; a nonpositive demand
+    cost for any agent disqualifies the state.
+    """
+    C = as_matrix(C, "C")
+    B = as_matrix(B, "B")
+    p = as_vector(getattr(p, "p", p), "p")
+    if np.any(p < 0) or not np.any(p > 0):
+        raise ValueError("p must be nonnegative and nonzero")
+    demand_cost = C.T @ p
+    balances = B.T @ p - demand_cost
+    rel = np.abs(balances) - 1e-8 * demand_cost
+    worst = int(np.argmax(rel))
+    ideal = bool(np.all(demand_cost > 0) and np.all(rel <= 0))
+    return IdealCheck(
+        ideal=ideal,
+        balances=balances,
+        worst_agent=worst,
+        worst_balance=float(balances[worst]),
+    )
+
+
+def exists_ideal(C, B) -> IdealExistence:
+    """Decide whether prices zeroing every trade balance exist.
+
+    Requires the aggregate balance to vanish. Runs the factorization, the
+    unit-ratio eigen-system, and the nonnegative price recovery; all three
+    must succeed.
+    """
+    C = as_matrix(C, "C")
+    B = as_matrix(B, "B")
+    if C.shape != B.shape:
+        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    total = B.sum(axis=1) - C.sum(axis=1)
+    scale = max(1.0, float(np.abs(B).sum()), float(np.abs(C).sum()))
+    if float(np.abs(total).max(initial=0.0)) > 1e-9 * scale:
+        raise PreconditionError(
+            "aggregate supply minus aggregate demand must vanish "
+            f"(worst gap {float(np.abs(total).max()):.3e})",
+            condition="zero_aggregate_balance",
+        )
+    l = C.shape[1]
+    try:
+        fact = factor_supply(C, B)
+    except (ValueError, NonConvergenceError) as exc:
+        return IdealExistence(False, None, None, f"factorization failed: {exc}")
+
+    # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
+    # to exactly one so the unit-ratio eigen-system is the right one.
+    fact = _classify_factor(C, B, _with_row_sums(C, fact.B1, np.ones(l)))
+    try:
+        dvec = solve_D(fact, y=np.ones(l))
+    except (ValueError, NonConvergenceError) as exc:
+        return IdealExistence(False, None, None, f"eigen-system failed: {exc}")
+
+    d, p0 = dvec.d, None
+    recovery = price_from_D(C, d)
+    if recovery:
+        p0 = recovery.p0
+    else:
+        # The eigen-space may contain other positive vectors; search it for
+        # one inside the row cone before giving up.
+        kernel = near_kernel(fact.B1.T - np.eye(l), float(np.abs(fact.B1).max()))
+        found = _positive_kernel_vector(kernel, C) if kernel.size else None
+        if found is None:
+            return IdealExistence(
+                False, None, d, "d lies outside the cone of the rows of C"
+            )
+        d, p0 = found
+    verdict = check_ideal(C, B, p0)
+    if not verdict.ideal:
+        return IdealExistence(
+            False,
+            p0,
+            d,
+            f"recovered prices leave agent {verdict.worst_agent} with "
+            f"balance {verdict.worst_balance:.3e}",
+        )
+    return IdealExistence(True, p0, d, None)
 
 
 def construct_supply(C, F, a=None):

@@ -15,17 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, root
+from scipy.optimize import root
 
 from ._numerics import as_matrix, as_vector
-from .consistency import (
-    _classify_factor,
-    _with_row_sums,
-    factor_supply,
-    near_kernel,
-    price_from_D,
-    solve_D,
-)
 from .errors import (
     DivisionGuardError,
     NonConvergenceError,
@@ -131,27 +123,19 @@ class EquilibriumSolution:
             "epsilon": self.final_epsilon,
         }
 
-
-@dataclass(frozen=True)
-class IdealCheck:
-    ideal: bool
-    balances: np.ndarray
-    worst_agent: int
-    worst_balance: float
-
-    def __bool__(self):
-        return self.ideal
-
-
-@dataclass(frozen=True)
-class IdealExistence:
-    exists: bool
-    p0: np.ndarray | None
-    d: np.ndarray | None
-    reason: str | None
-
-    def __bool__(self):
-        return self.exists
+    @classmethod
+    def from_dict(cls, data):
+        """Inverse of ``to_dict``: raises KeyError for a missing field and
+        ValueError for a malformed one (``p0`` must already sum to one)."""
+        return cls(
+            p0=PriceVector(data["p0"], "simplex"),
+            clearing_set=tuple(int(k) - 1 for k in data["I"]),
+            y=as_vector(data["y"], "y"),
+            excess=as_vector(data["excess"], "excess"),
+            iterations=int(data["iterations"]),
+            final_epsilon=float(data["epsilon"]),
+            residual=float(data["residual"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,7 @@ class EpsilonSchedule:
         return [self.start * self.ratio ** (-m) for m in range(self.steps)]
 
 
-def _demand_weights(C, B, p, epsilon=0.0):
+def demand_weights(C, B, p, epsilon=0.0):
     """Per-agent income-to-demand-cost ratios <b_i,p>/(<C_i,p>+n*eps)."""
     n = C.shape[0]
     cost = C.T @ p + n * epsilon
@@ -194,7 +178,7 @@ def excess_demand(C, B, p):
     B = as_matrix(B, "B")
     p = p.p if isinstance(p, PriceVector) else as_vector(p, "p")
     psi = B.sum(axis=1)
-    return C @ _demand_weights(C, B, p) - psi
+    return C @ demand_weights(C, B, p) - psi
 
 
 def _tolerance_vector(psi, tol):
@@ -228,7 +212,7 @@ def is_equilibrium(C, B, p, tol=DEFAULT_TOL, tol_clear=None) -> EquilibriumCheck
 
 
 def _regularized_map(C, B, psi, p, epsilon):
-    w = _demand_weights(C, B, p, epsilon)
+    w = demand_weights(C, B, p, epsilon)
     f = (p * (C @ w) + epsilon * w.sum()) / psi
     return f / f.sum()
 
@@ -376,6 +360,8 @@ def solve_fixed_point(
         raise ValueError("epsilon schedule must be positive and strictly decreasing")
     if tol_clear is None:
         tol_clear = tol
+    if not all(t > 0 for t in (tol, tol_clear, tol_inner)):
+        raise ValueError("tolerances tol, tol_clear and tol_inner must be positive")
 
     p = np.full(n, 1.0 / n)
     iterations = 0
@@ -425,7 +411,7 @@ def solve_fixed_point(
             iterations=iterations,
             epsilon=last_epsilon,
         )
-    y = _demand_weights(C, B, p)
+    y = demand_weights(C, B, p)
     walras_gap = abs(float((C @ y) @ p - psi @ p))
     if walras_gap > 1e-8 * max(1.0, abs(float(psi @ p))):
         raise NonConvergenceError(
@@ -469,125 +455,9 @@ def evaluate_solution(C, B, p, tol=DEFAULT_TOL, tol_clear=None) -> EquilibriumSo
     return EquilibriumSolution(
         p0=PriceVector.as_simplex(p),
         clearing_set=check.clearing_set,
-        y=_demand_weights(C, B, p),
+        y=demand_weights(C, B, p),
         excess=check.excess,
         iterations=0,
         final_epsilon=0.0,
         residual=0.0,
     )
-
-
-def check_ideal(C, B, p) -> IdealCheck:
-    """Is every agent's trade balance zero at prices ``p``?
-
-    Balances are compared against ``1e-8 * <p, C_i>``; a nonpositive demand
-    cost for any agent disqualifies the state.
-    """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    p = p.p if isinstance(p, PriceVector) else as_vector(p, "p")
-    if np.any(p < 0) or not np.any(p > 0):
-        raise ValueError("p must be nonnegative and nonzero")
-    demand_cost = C.T @ p
-    balances = B.T @ p - demand_cost
-    rel = np.abs(balances) - 1e-8 * demand_cost
-    worst = int(np.argmax(rel))
-    ideal = bool(np.all(demand_cost > 0) and np.all(rel <= 0))
-    return IdealCheck(
-        ideal=ideal,
-        balances=balances,
-        worst_agent=worst,
-        worst_balance=float(balances[worst]),
-    )
-
-
-def exists_ideal(C, B) -> IdealExistence:
-    """Decide whether prices zeroing every trade balance exist.
-
-    Requires the aggregate balance to vanish. Runs the factorization, the
-    unit-ratio eigen-system, and the nonnegative price recovery; all three
-    must succeed.
-    """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    if C.shape != B.shape:
-        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
-    total = B.sum(axis=1) - C.sum(axis=1)
-    scale = max(1.0, float(np.abs(B).sum()), float(np.abs(C).sum()))
-    if float(np.abs(total).max(initial=0.0)) > 1e-9 * scale:
-        raise PreconditionError(
-            "aggregate supply minus aggregate demand must vanish "
-            f"(worst gap {float(np.abs(total).max()):.3e})",
-            condition="zero_aggregate_balance",
-        )
-    l = C.shape[1]
-    try:
-        fact = factor_supply(C, B)
-    except (ValueError, NonConvergenceError) as exc:
-        return IdealExistence(False, None, None, f"factorization failed: {exc}")
-
-    # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
-    # to exactly one so the unit-ratio eigen-system is the right one.
-    fact = _classify_factor(C, B, _with_row_sums(C, fact.B1, np.ones(l)))
-    try:
-        dvec = solve_D(fact, y=np.ones(l))
-    except (ValueError, NonConvergenceError) as exc:
-        return IdealExistence(False, None, None, f"eigen-system failed: {exc}")
-
-    d, p0 = dvec.d, None
-    recovery = price_from_D(C, d)
-    if recovery:
-        p0 = recovery.p0
-    else:
-        # The eigen-space may contain other positive vectors; search it for
-        # one inside the row cone before giving up.
-        found = _kernel_d_in_cone(C, fact.B1)
-        if found is None:
-            return IdealExistence(
-                False, None, d, "d lies outside the cone of the rows of C"
-            )
-        d, p0 = found
-    verdict = check_ideal(C, B, p0)
-    if not verdict.ideal:
-        return IdealExistence(
-            False,
-            p0,
-            d,
-            f"recovered prices leave agent {verdict.worst_agent} with "
-            f"balance {verdict.worst_balance:.3e}",
-        )
-    return IdealExistence(True, p0, d, None)
-
-
-def _kernel_d_in_cone(C, B1):
-    """Positive vector in null(B1.T - I) of the form C.T @ p with p >= 0.
-
-    Solved as a linear program maximizing the smallest component of ``d``
-    subject to ``d = K w`` (kernel coordinates) and ``d = C.T @ p``.
-    Returns ``(d, p)`` or None.
-    """
-    n, l = C.shape
-    kernel = near_kernel(B1.T - np.eye(l), float(np.abs(B1).max()))
-    if kernel.size == 0:
-        return None
-    dim = kernel.shape[1]
-    # Variables: (p_1..p_n, w_1..w_dim, mu); maximize mu.
-    cost = np.zeros(n + dim + 1)
-    cost[-1] = -1.0
-    A_eq = np.hstack([C.T, -kernel, np.zeros((l, 1))])
-    b_eq = np.zeros(l)
-    norm_row = np.hstack([np.zeros(n), kernel.sum(axis=0), np.zeros(1)])
-    A_eq = np.vstack([A_eq, norm_row])
-    b_eq = np.append(b_eq, float(l))
-    A_ub = np.hstack([np.zeros((l, n)), -kernel, np.ones((l, 1))])
-    b_ub = np.zeros(l)
-    bounds = [(0, None)] * n + [(None, None)] * dim + [(0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if not res.success or res.x is None or res.x[-1] <= 1e-12:
-        return None
-    p = res.x[:n]
-    d = kernel @ res.x[n:n + dim]
-    if np.any(d <= 0):
-        return None
-    return d, p

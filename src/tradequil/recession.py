@@ -16,7 +16,7 @@ from ._numerics import as_matrix, as_vector
 from .equilibrium_solver import (
     EquilibriumSolution,
     PriceVector,
-    _demand_weights,
+    demand_weights,
     excess_demand,
     is_equilibrium,
 )
@@ -90,12 +90,7 @@ def modified_supply(C, B, y, clearing_set):
     if C.shape != B.shape:
         raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
     y = as_vector(y, "y")
-    idx = sorted(int(k) for k in clearing_set)
-    if not idx:
-        raise PreconditionError("clearing set must be nonempty", condition="nonempty_I")
-    n = C.shape[0]
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"clearing set {idx} out of range for {n} goods")
+    idx, _ = _split_goods(clearing_set, C.shape[0])
     B0 = C * y[None, :]
     B0[idx, :] = B[idx, :]
     return B0
@@ -214,7 +209,7 @@ def degeneracy_report(solution: EquilibriumSolution, C, B, tol=1e-6) -> Recessio
         )
     p_support /= total
 
-    y = _demand_weights(C, B, p_support)
+    y = demand_weights(C, B, p_support)
     psi = B.sum(axis=1)
     psi_bar = real_consumption(C, y)
     B0 = modified_supply(C, B, y, idx)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tradequil.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, RunConfig, main
+from tradequil.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 TOY_CSV = (
     "year,reporter,partner,product,value\n"
@@ -20,26 +20,6 @@ def write_csv(tmp_path, text=TOY_CSV, name="flows.csv"):
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-class TestRunConfig:
-    def test_defaults_valid(self):
-        config = RunConfig()
-        values = config.schedule.values()
-        assert values[0] == 1e-2
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValueError):
-            RunConfig(damping=0.0)
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            RunConfig(tol=-1.0)
-
-    def test_rejects_non_decreasing_schedule(self):
-        with pytest.raises(ValueError):
-            RunConfig(eps_ratio=1.0)
 
 
 class TestIngest:
@@ -190,6 +170,19 @@ class TestSolve:
             )
         assert code == EXIT_NO_CONVERGENCE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--damping", "0"), ("--tol", "-1"), ("--eps-ratio", "1"),
+    ])
+    def test_invalid_settings_are_input_errors(self, tmp_path, capsys, flag, value):
+        csv_path = write_csv(tmp_path)
+        out = tmp_path / "out"
+        run("ingest", "--input", csv_path, "--out", out)
+        code = run("solve", "--input", out / "matrices_2020.json",
+                   "--out", out / "run", flag, value)
+        assert code == EXIT_INPUT
+        assert not (out / "run").exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_input_is_input_error(self, tmp_path):
         assert run("solve", "--input", tmp_path / "nope.json",
                    "--out", tmp_path / "o") == EXIT_INPUT
@@ -227,3 +220,20 @@ class TestReport:
         assert (out / "re" / "report.txt").read_bytes() == (
             out / "run" / "report.txt"
         ).read_bytes()
+
+    def test_solution_missing_a_field_is_input_error(self, tmp_path):
+        csv_path = write_csv(tmp_path)
+        out = tmp_path / "out"
+        run("ingest", "--input", csv_path, "--out", out)
+        run("solve", "--input", out / "matrices_2020.json", "--out", out / "run")
+        payload = json.loads((out / "run" / "solution.json").read_text())
+        del payload["y"]
+        (out / "broken.json").write_text(json.dumps(payload))
+        code = run(
+            "report",
+            "--input", out / "broken.json",
+            "--matrices", out / "matrices_2020.json",
+            "--out", out / "re",
+        )
+        assert code == EXIT_INPUT
+        assert not (out / "re").exists()

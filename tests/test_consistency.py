@@ -164,6 +164,17 @@ class TestSolveD:
             y * doubled
         ).max()
 
+    def test_signed_factor_with_two_dimensional_eigen_space(self):
+        # B1.T = I + u v^T has the eigen-space {v . d = 0}. For v = (1, -1, 0)
+        # the positive vector of sum 3 with the largest smallest entry is
+        # (1, 1, 1); for v = (1, 1, 0) no positive vector is in it.
+        B1 = (np.eye(3) + np.outer(np.ones(3), [1.0, -1.0, 0.0])).T
+        d = solve_D(make_fact(B1), y=np.ones(3)).d
+        np.testing.assert_allclose(d, np.ones(3), atol=1e-9)
+        B1 = (np.eye(3) + np.outer(np.ones(3), [1.0, 1.0, 0.0])).T
+        with pytest.raises(InfeasibleError):
+            solve_D(make_fact(B1, nonnegative=False), y=np.ones(3))
+
     def test_zero_row_sum_rejected(self):
         fact = make_fact([[0.0, 0.0], [1.0, 1.0]], mode="weak", indecomposable=False)
         with pytest.raises(DivisionGuardError) as err:

@@ -5,6 +5,7 @@ from conftest import random_economy, random_ideal_triple
 from tradequil import (
     DivisionGuardError,
     EpsilonSchedule,
+    EquilibriumSolution,
     NonConvergenceError,
     PreconditionError,
     PriceVector,
@@ -191,6 +192,20 @@ class TestSolveFixedPoint:
             EpsilonSchedule(start=1e-2, ratio=0.5, steps=3)
         with pytest.raises(ValueError):
             solve_fixed_point(SWAP_C, SWAP_B, schedule=[1e-2, 1e-2])
+
+    @pytest.mark.parametrize("name", ["tol", "tol_clear", "tol_inner"])
+    def test_nonpositive_tolerance_rejected(self, name):
+        with pytest.raises(ValueError, match="must be positive"):
+            solve_fixed_point(SWAP_C, SWAP_B, **{name: 0.0})
+
+    def test_from_dict_inverts_to_dict(self, rng):
+        # Six uniform prices sum to 1 + 2.2e-16 in floats; dividing them by
+        # that sum again would change them, so p0 must be read as written.
+        economies = [(np.ones((6, 2)), np.ones((6, 2)))]
+        economies += [random_economy(rng, n_max=6, l_max=6) for _ in range(5)]
+        for C, B in economies:
+            payload = solve_fixed_point(C, B).to_dict()
+            assert EquilibriumSolution.from_dict(payload).to_dict() == payload
 
     def test_json_round_trip_uses_one_based_clearing_set(self):
         solution = solve_fixed_point(SWAP_C, SWAP_B)

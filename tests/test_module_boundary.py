@@ -1,0 +1,58 @@
+"""No tradequil module uses a private name of another tradequil module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tradequil
+
+PACKAGE = Path(tradequil.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reaches(source):
+    """``(line, name)`` of every private name that ``source`` imports from a
+    sibling module or reads as ``<sibling module>._name``."""
+    tree = ast.parse(source)
+    siblings = set()  # local names bound to sibling modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "tradequil"
+        ):
+            for alias in node.names:
+                if alias.name in MODULES:
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .consistency import _classify_factor", [(1, "_classify_factor")]),
+    ("from tradequil.recession import _split_goods", [(1, "_split_goods")]),
+    ("from . import consistency as c\nc._with_row_sums(1, 2, 3)",
+     [(2, "c._with_row_sums")]),
+    ("from ._numerics import BASE_TOL\nfrom . import cone_geometry\n"
+     "cone_geometry.max_margin(1, 2)", []),
+])
+def test_checker_finds_private_reaches(source, expected):
+    assert private_reaches(source) == expected
+
+
+def test_no_module_uses_a_private_name_of_another():
+    offences = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in private_reaches(path.read_text(encoding="utf-8"))
+    ]
+    assert offences == []
