@@ -275,6 +275,14 @@ def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
     return best_p if best_resid < float(np.abs(g - p).max()) else p, evals, stage_exit
 
 
+def _softmax(v):
+    """``exp(v) / sum(exp(v))``, or None where that sum overflows."""
+    with np.errstate(over="ignore"):
+        x = np.exp(v)
+        total = x.sum()
+    return x / total if np.isfinite(total) else None
+
+
 def _newton_stage(C, B, psi, p, epsilon, tol_stage):
     """Stage fixed point by root finding in softmax coordinates.
 
@@ -289,13 +297,18 @@ def _newton_stage(C, B, psi, p, epsilon, tol_stage):
     u0 = (u_full - u_full[-1])[:-1]
 
     def gap(u):
-        x = np.exp(np.concatenate([u, [0.0]]))
-        q = x / x.sum()
+        q = _softmax(np.append(u, 0.0))
+        if q is None:
+            # A NaN residual makes hybr reject the step. Shifting exp to keep
+            # it finite instead lets hybr reach points where a good's price
+            # collapses, and more solves fail.
+            return np.full(n - 1, np.nan)
         return (_regularized_map(C, B, psi, q, epsilon) - q)[:-1]
 
     result = root(gap, u0, method="hybr")
-    x = np.exp(np.concatenate([result.x, [0.0]]))
-    q = x / x.sum()
+    q = _softmax(np.append(result.x, 0.0))
+    if q is None:
+        return None, int(result.nfev)
     residual = float(np.abs(_regularized_map(C, B, psi, q, epsilon) - q).max())
     if residual <= tol_stage:
         return q, int(result.nfev)

@@ -16,7 +16,7 @@ from tradequil import (
     is_equilibrium,
     solve_fixed_point,
 )
-from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS
+from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS, _softmax
 
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
 SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -192,6 +192,18 @@ class TestSolveFixedPoint:
             EpsilonSchedule(start=1e-2, ratio=0.5, steps=3)
         with pytest.raises(ValueError):
             solve_fixed_point(SWAP_C, SWAP_B, schedule=[1e-2, 1e-2])
+
+    def test_softmax_reports_overflow_instead_of_warning(self):
+        # exp(-800) underflowing to zero is harmless (numpy's default ignores
+        # underflow); exp(800) overflowing used to warn and return NaN.
+        with np.errstate(all="raise", under="ignore"):
+            assert _softmax(np.array([800.0, 0.0, -800.0])) is None
+            q = _softmax(np.array([700.0, 0.0, -800.0]))
+        assert q[0] == 1.0 and q[2] == 0.0
+        # In range the result is the plain formula, bit for bit: the Newton
+        # stage's root finder can change its outcome on a last-bit change.
+        v = np.array([1.73, 4.11, 1.65, 0.0])
+        np.testing.assert_array_equal(_softmax(v), np.exp(v) / np.exp(v).sum())
 
     @pytest.mark.parametrize("name", ["tol", "tol_clear", "tol_inner"])
     def test_nonpositive_tolerance_rejected(self, name):
