@@ -410,9 +410,10 @@ def solve_fixed_point(
     residual = float(np.abs(_regularized_map(C, B, psi, p, last_epsilon) - p).max())
     check = is_equilibrium(C, B, p, tol=tol, tol_clear=tol_clear)
     if not check.ok:
-        worst = max(v for _, v in check.violations)
+        k, worst = max(check.violations, key=lambda violation: violation[1])
         raise NonConvergenceError(
-            f"converged point violates the equilibrium inequalities by {worst:.3e}",
+            f"converged point violates the equilibrium inequalities by {worst:.3e} "
+            f"at good {k + 1} (1-based), {worst / psi[k]:.3g} of its aggregate supply",
             residual=worst,
             iterations=iterations,
             epsilon=last_epsilon,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestSolve:
         assert rec["I"] == [2]
         assert rec["R"] == pytest.approx(0.5, abs=1e-9)
 
-    def test_nonconvergence_exit_code(self, tmp_path):
+    def test_nonconvergence_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
         payload = {
@@ -169,6 +170,10 @@ class TestSolve:
                 "--eps-steps", "1", "--eps-start", "1e-2", "--tol", "1e-9",
             )
         assert code == EXIT_NO_CONVERGENCE
+        # Good 2 (supply 1) is short by 0.0098 after the single stage.
+        assert re.search(
+            r"violates the equilibrium inequalities by \S+ at good 2 \(1-based\), "
+            r"0\.0098 of its aggregate supply", capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, value", [
         ("--damping", "0"), ("--tol", "-1"), ("--eps-ratio", "1"),
