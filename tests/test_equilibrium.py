@@ -195,7 +195,7 @@ class TestSolveFixedPoint:
 
     def test_softmax_reports_overflow_instead_of_warning(self):
         # exp(-800) underflowing to zero is harmless (numpy's default ignores
-        # underflow); exp(800) overflowing used to warn and return NaN.
+        # underflow); exp(800) overflows and must give None, not a warning.
         with np.errstate(all="raise", under="ignore"):
             assert _softmax(np.array([800.0, 0.0, -800.0])) is None
             q = _softmax(np.array([700.0, 0.0, -800.0]))
