@@ -1,4 +1,4 @@
-"""Small shared numerical helpers: array coercion, tolerances, rank."""
+"""Small shared numerical helpers: the tolerance policy, array coercion, rank."""
 
 from __future__ import annotations
 
@@ -7,10 +7,23 @@ from scipy.optimize import lsq_linear
 
 from .errors import RankDeficiencyError
 
-# Relative tolerance for membership and rank decisions: it is compared only
-# with dimensionless quantities (coordinates of unit-normalized data, or
-# singular values over the largest one).
-BASE_TOL = 1e-9
+# The tolerance policy. Every tolerance is relative: a quantity that carries
+# currency units is compared with ``TOL * magnitude(data it came from)``, never
+# with an absolute floor such as ``1 + max|X|``, which turns absolute when the
+# currency unit is small; so verdicts do not depend on the unit. A ``1 +`` or
+# ``max(1, .)`` floor remains only on dimensionless quantities.
+ROUNDING = 1e-12  # identities that are exact in real arithmetic
+EIG_TOL = 1e-10  # residual of the factor eigen-system
+BASE_TOL = 1e-9  # membership, rank, sign and balance decisions
+RESIDUAL_TOL = 1e-8  # residual of a verified solve
+DEFAULT_TOL = 1e-6  # equilibrium inequalities and the clearing set
+DEFAULT_TOL_INNER = 1e-10  # fixed-point residual of the last solver stage
+LOG_FLOOR = 1e-18  # floor on a price before its log; hybr's outcome moves with it
+
+
+def magnitude(*arrays):
+    """Largest absolute entry over ``arrays`` (0.0 when all are empty)."""
+    return max(float(np.abs(a).max(initial=0.0)) for a in arrays)
 
 
 def nnls_solve(A, b):
@@ -30,7 +43,9 @@ def nnls_solve(A, b):
 
 
 def as_matrix(a, name="matrix"):
-    m = np.asarray(a, dtype=float)
+    """``a`` as a finite float matrix in C order: the solver's products, and so
+    its results, depend on the memory layout of its inputs."""
+    m = np.asarray(a, dtype=float, order="C")
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numerics import DEFAULT_TOL, DEFAULT_TOL_INNER
 from .equilibrium_solver import (
+    DEFAULT_DAMPING,
     EpsilonSchedule,
     EquilibriumSolution,
     excess_demand,
@@ -159,7 +161,6 @@ def cmd_solve(args) -> int:
         schedule=schedule,
         damping=args.damping,
         tol=args.tol,
-        tol_clear=args.tol_clear,
         tol_inner=args.tol_inner,
     )
     report = degeneracy_report(solution, cm.C, cm.B, tol=args.tol)
@@ -220,13 +221,13 @@ def build_parser():
     solve = sub.add_parser("solve", help="matrices JSON -> solution + reports")
     solve.add_argument("--input", required=True, help="matrices JSON path")
     solve.add_argument("--out", required=True, help="output directory")
-    solve.add_argument("--eps-start", type=float, default=1e-2)
-    solve.add_argument("--eps-ratio", type=float, default=4.0)
-    solve.add_argument("--eps-steps", type=int, default=13)
-    solve.add_argument("--damping", type=float, default=0.5)
-    solve.add_argument("--tol", type=float, default=1e-6)
-    solve.add_argument("--tol-clear", type=float, default=1e-6)
-    solve.add_argument("--tol-inner", type=float, default=1e-10)
+    defaults = EpsilonSchedule()
+    solve.add_argument("--eps-start", type=float, default=defaults.start)
+    solve.add_argument("--eps-ratio", type=float, default=defaults.ratio)
+    solve.add_argument("--eps-steps", type=int, default=defaults.steps)
+    solve.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
+    solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    solve.add_argument("--tol-inner", type=float, default=DEFAULT_TOL_INNER)
     solve.add_argument("--year", type=int, default=None,
                        help="assert the matrices file is for this year")
     solve.set_defaults(func=cmd_solve)

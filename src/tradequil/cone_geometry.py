@@ -27,8 +27,10 @@ from scipy.optimize import linprog
 
 from ._numerics import (
     BASE_TOL,
+    ROUNDING,
     as_matrix,
     as_vector,
+    magnitude,
     nnls_solve,
     numerical_rank,
     require_independent,
@@ -52,19 +54,6 @@ class Membership(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     OUTSIDE = "outside"
-
-
-@dataclass(frozen=True)
-class ConeBasis:
-    """A finitely generated cone: ``vectors`` rows are the generators."""
-
-    vectors: np.ndarray
-    rank: int
-
-    @classmethod
-    def from_vectors(cls, vectors):
-        v = as_matrix(np.atleast_2d(np.asarray(vectors, dtype=float)), "generators")
-        return cls(vectors=v, rank=numerical_rank(v))
 
 
 @dataclass(frozen=True)
@@ -115,12 +104,12 @@ class GammaPolytope:
             raise ValueError(
                 f"gamma must have length {self.n_free + 1}, got {gamma.shape[0]}"
             )
-        if abs(gamma.sum() - 1.0) > 1e-12:
+        if abs(gamma.sum() - 1.0) > ROUNDING:
             return False
         free = gamma[1:]
         if self.n_free == 0:
             return True
-        scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
+        scale = 1.0 + magnitude(self.b)  # b holds dimensionless coordinates
         return bool(
             np.all(free > margin) and np.all(self.A @ free < self.b - margin * scale)
         )
@@ -183,9 +172,9 @@ def biorthogonal_system(vectors):
 
     dual = np.linalg.solve(primal, np.eye(n)).T
     defect = float(np.abs(primal @ dual.T - np.eye(n)).max())
-    if defect > 1e-9:
+    if defect > BASE_TOL:
         raise RankDeficiencyError(
-            f"biorthogonality defect {defect:.3e} exceeds 1e-9; "
+            f"biorthogonality defect {defect:.3e} exceeds {BASE_TOL:g}; "
             "input vectors are too close to dependent",
             numerical_rank=numerical_rank(v),
             expected=m,
@@ -251,10 +240,7 @@ def generating_set(cone):
     generated cone is unchanged. Positively proportional duplicates keep the
     lowest index.
     """
-    if isinstance(cone, ConeBasis):
-        v = cone.vectors
-    else:
-        v = as_matrix(np.atleast_2d(np.asarray(cone, dtype=float)), "generators")
+    v = as_matrix(np.atleast_2d(np.asarray(cone, dtype=float)), "generators")
     t = v.shape[0]
     norms = np.linalg.norm(v, axis=1)
     if not np.any(norms > 0):
@@ -441,13 +427,12 @@ def _interior_gamma(polytope):
         gamma[0] = 1.0 - gamma[1:].sum()
         return gamma
 
-    margin = 1e-12
-    if polytope.contains(at(1.0), margin=margin):
+    if polytope.contains(at(1.0), margin=ROUNDING):
         return at(1.0)
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if polytope.contains(at(mid), margin=margin):
+        if polytope.contains(at(mid), margin=ROUNDING):
             lo = mid
         else:
             hi = mid
@@ -487,7 +472,7 @@ def max_margin(C, psi):
     t = float(res.x[-1])
     z = np.maximum(res.x[:-1], 0.0) + t
     residual = float(np.abs(A @ z - b).max())
-    if residual > BASE_TOL * max(1.0, float(z.max())):
+    if residual > BASE_TOL * max(1.0, float(z.max())):  # A, b, z are unit-free
         raise NonConvergenceError(
             f"cone linear program residual {residual:.3e} exceeds tolerance",
             residual=residual,

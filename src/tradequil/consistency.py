@@ -20,7 +20,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import cone_geometry
-from ._numerics import BASE_TOL, as_matrix, as_vector, nnls_solve, numerical_rank
+from ._numerics import (
+    BASE_TOL,
+    EIG_TOL,
+    RESIDUAL_TOL,
+    ROUNDING,
+    as_matrix,
+    as_vector,
+    magnitude,
+    nnls_solve,
+    numerical_rank,
+)
 from .cone_geometry import Membership, classify_membership
 from .errors import (
     DegenerateTargetError,
@@ -31,9 +41,6 @@ from .errors import (
     RankDeficiencyError,
 )
 
-_FACTOR_TOL = 1e-8
-_EIG_TOL = 1e-10
-_POWER_STEP_TOL = 1e-12
 _POWER_CAP = 100_000
 
 
@@ -128,8 +135,8 @@ def _support_strongly_connected(B1, tol):
 
 def _classify_factor(C, B, B1):
     B1 = np.asarray(B1, dtype=float)
-    residual = float(np.abs(B - C @ B1).max(initial=0.0))
-    tol = BASE_TOL * (1.0 + float(np.abs(B1).max(initial=0.0)))  # B1 is dimensionless
+    residual = magnitude(B - C @ B1)
+    tol = BASE_TOL * (1.0 + magnitude(B1))  # B1 is dimensionless
     low = float(B1.min())
     nonnegative = bool(low >= -tol)
     strictly_positive = bool(low > tol)
@@ -224,13 +231,13 @@ def factor_supply(C, B, rank_subset=None) -> Factorization:
 
 
 def _residual_ok(fact, B):
-    return fact.residual <= _FACTOR_TOL * (1.0 + float(np.abs(B).max(initial=0.0)))
+    return fact.residual <= RESIDUAL_TOL * magnitude(B)
 
 
-def _span_factor(C, B, tol):
+def _span_factor(C, B):
     """Least-squares factor, or None when some supply column leaves span(C)."""
     B1, *_ = np.linalg.lstsq(C, B, rcond=None)
-    if float(np.abs(B - C @ B1).max(initial=0.0)) > tol:
+    if magnitude(B - C @ B1) > RESIDUAL_TOL * magnitude(B):
         return None
     return B1
 
@@ -282,10 +289,6 @@ def _strict_notes(fact):
     return ("factor is indecomposable but not strictly positive",)
 
 
-def _side_tol(B):
-    return 1e-9 * (1.0 + float(B.sum(axis=1).max(initial=0.0)))
-
-
 def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
     """Strongest certifiable agreement between supply and demand structure.
 
@@ -300,7 +303,6 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
     if C.shape != B.shape:
         raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
     n, l = C.shape
-    tol = _FACTOR_TOL * (1.0 + float(np.abs(B).max(initial=0.0)))
     if I is not None:
         I = tuple(sorted(int(k) for k in I))
         if not I:
@@ -321,7 +323,7 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
         if sub is not None:
             return sub
 
-    span = _span_factor(C, B, tol)
+    span = _span_factor(C, B)
     if span is not None:
         y = _nonneg_solution(C, B.sum(axis=1))
         if y is not None:
@@ -341,38 +343,25 @@ def _certify_rows(C, B, I, want_strict):
     """Rank-|I| certification on the row block I with off-I side inequalities."""
     rows = list(I)
     CI, BI = C[rows, :], B[rows, :]
-    tol = _FACTOR_TOL * (1.0 + float(np.abs(BI).max(initial=0.0)))
-    side_tol = _side_tol(B)
-
     if want_strict:
         B1 = _nonneg_factor(CI, BI)
-        if B1 is None:
-            return None
-        fact = _classify_factor(CI, BI, B1)
-        if fact.mode != "strict" or not _residual_ok(fact, BI):
-            return None
-        margin = _side_margin(C, B, I, fact.row_sums)
-        if margin <= side_tol:
-            return None
-        return ConsistencyCertificate(
-            "strict-of-rank-|I|", fact, clearing_set=tuple(I),
-            side_margin=margin, notes=_strict_notes(fact),
-        )
-
-    span = _span_factor(CI, BI, tol)
-    if span is None:
+        label, modes = "strict-of-rank-|I|", ("strict",)
+    else:
+        span = _span_factor(CI, BI)
+        y = None if span is None else _clearing_row_sums(C, B, I)
+        B1 = None if y is None else _with_row_sums(CI, span, y)
+        label, modes = "weak-of-rank-|I|", ("strict", "weak")
+    if B1 is None:
         return None
-    y = _clearing_row_sums(C, B, I)
-    if y is None:
-        return None
-    fact = _classify_factor(CI, BI, _with_row_sums(CI, span, y))
-    if fact.mode not in ("strict", "weak") or not _residual_ok(fact, BI):
+    fact = _classify_factor(CI, BI, B1)
+    if fact.mode not in modes or not _residual_ok(fact, BI):
         return None
     margin = _side_margin(C, B, I, fact.row_sums)
-    if margin <= side_tol:
+    if margin <= BASE_TOL * magnitude(B.sum(axis=1)):
         return None
     return ConsistencyCertificate(
-        "weak-of-rank-|I|", fact, clearing_set=tuple(I), side_margin=margin
+        label, fact, clearing_set=tuple(I), side_margin=margin,
+        notes=_strict_notes(fact) if want_strict else (),
     )
 
 
@@ -398,7 +387,7 @@ def _clearing_row_sums(C, B, I):
     if not res.success or res.x is None:
         return None
     y, margin = res.x[:-1], res.x[-1]
-    if margin <= _side_tol(B):
+    if margin <= BASE_TOL * magnitude(psi):
         return None
     return y
 
@@ -431,9 +420,9 @@ def solve_D(fact: Factorization, y=None) -> DVector:
         d = _nullspace_positive(B1, y)
 
     residual = _eig_residual(B1, y, d)
-    if residual > _EIG_TOL:
+    if residual > EIG_TOL:
         raise NonConvergenceError(
-            f"eigen-system residual {residual:.3e} exceeds {_EIG_TOL:g}",
+            f"eigen-system residual {residual:.3e} exceeds {EIG_TOL:g}",
             residual=residual,
         )
     if np.any(d <= 0):
@@ -445,10 +434,8 @@ def solve_D(fact: Factorization, y=None) -> DVector:
 
 
 def _eig_residual(B1, y, d):
-    lhs = B1.T @ d
-    rhs = y * d
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    return float(np.abs(lhs - rhs).max(initial=0.0)) / scale
+    rhs = y * d  # y and d are dimensionless
+    return magnitude(B1.T @ d - rhs) / max(1.0, magnitude(rhs))
 
 
 def _power_iteration(B1, y):
@@ -463,7 +450,7 @@ def _power_iteration(B1, y):
         if total <= 0:
             raise NonConvergenceError("power iteration collapsed to zero")
         d_new *= l / total
-        if np.abs(d_new - d).max() <= _POWER_STEP_TOL:
+        if np.abs(d_new - d).max() <= ROUNDING:
             return d_new
         d = d_new
     raise NonConvergenceError(
@@ -478,11 +465,12 @@ def near_kernel(A, scale=1.0):
 
     A relative cutoff fails when ``A`` itself is numerical noise (for
     example a factor that is the identity up to roundoff); singular values
-    below ``1e-12 * max(1, scale)`` count as zero.
+    below ``ROUNDING * max(1, scale)`` count as zero. ``A`` and ``scale`` are
+    dimensionless (a factor and its row sums).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, s, vt = np.linalg.svd(A)
-    cutoff = 1e-12 * max(1.0, float(scale))
+    cutoff = ROUNDING * max(1.0, float(scale))
     rank = int(np.sum(s > cutoff))
     return vt[rank:].T
 
@@ -534,7 +522,7 @@ def _positive_kernel_vector(kernel, C=None):
     bounds = [(0, None)] * n + [(None, None)] * dim + [(0, None)]
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
-    if not res.success or res.x is None or res.x[-1] <= 1e-12:
+    if not res.success or res.x is None or res.x[-1] <= ROUNDING:
         return None
     d = kernel @ res.x[n:n + dim]
     if np.any(d <= 0):
@@ -556,9 +544,8 @@ def price_from_D(C, d) -> PriceRecovery:
             "d must be strictly positive", condition="d_strictly_positive"
         )
     p, _ = nnls_solve(C.T, d)
-    residual = float(np.abs(C.T @ p - d).max(initial=0.0))
-    tol = _FACTOR_TOL * (1.0 + float(np.abs(d).max()))
-    if residual <= tol:
+    residual = magnitude(C.T @ p - d)
+    if residual <= RESIDUAL_TOL * magnitude(d):
         return PriceRecovery(p0=p, residual=residual)
     certificate = d - C.T @ p
     return PriceRecovery(p0=None, residual=residual, certificate=certificate)
@@ -567,8 +554,8 @@ def price_from_D(C, d) -> PriceRecovery:
 def check_ideal(C, B, p) -> IdealCheck:
     """Is every agent's trade balance zero at prices ``p``?
 
-    Balances are compared against ``1e-8 * <p, C_i>``; a nonpositive demand
-    cost for any agent disqualifies the state.
+    Balances are compared against ``RESIDUAL_TOL * <p, C_i>``; a nonpositive
+    demand cost for any agent disqualifies the state.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
@@ -577,7 +564,7 @@ def check_ideal(C, B, p) -> IdealCheck:
         raise ValueError("p must be nonnegative and nonzero")
     demand_cost = C.T @ p
     balances = B.T @ p - demand_cost
-    rel = np.abs(balances) - 1e-8 * demand_cost
+    rel = np.abs(balances) - RESIDUAL_TOL * demand_cost
     worst = int(np.argmax(rel))
     ideal = bool(np.all(demand_cost > 0) and np.all(rel <= 0))
     return IdealCheck(
@@ -599,12 +586,12 @@ def exists_ideal(C, B) -> IdealExistence:
     B = as_matrix(B, "B")
     if C.shape != B.shape:
         raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
-    total = B.sum(axis=1) - C.sum(axis=1)
-    scale = max(1.0, float(np.abs(B).sum()), float(np.abs(C).sum()))
-    if float(np.abs(total).max(initial=0.0)) > 1e-9 * scale:
+    supply, demand = B.sum(axis=1), C.sum(axis=1)
+    gap = magnitude(supply - demand)
+    if gap > BASE_TOL * magnitude(supply, demand):
         raise PreconditionError(
             "aggregate supply minus aggregate demand must vanish "
-            f"(worst gap {float(np.abs(total).max()):.3e})",
+            f"(worst gap {gap:.3e})",
             condition="zero_aggregate_balance",
         )
     l = C.shape[1]
@@ -662,8 +649,7 @@ def construct_supply(C, F, a=None):
         raise ValueError(f"F must be {l}x{l}, got {F.shape}")
     y = F.sum(axis=1)
     G = C @ (F - np.diag(y))
-    scale = 1.0 + float(np.abs(C).max(initial=0.0))
-    tiny = 1e-12 * (scale + float(np.abs(G).max(initial=0.0)))
+    tiny = ROUNDING * magnitude(C, G)
 
     if a is None:
         neg = G < -tiny
@@ -722,20 +708,18 @@ def construct_ideal_supply(C, d, F1):
             "d lies outside the cone of the rows of C",
             condition="d_in_row_cone",
         )
-    scale = 1e-9 * (1.0 + float(np.abs(F1).max(initial=0.0))) * (
-        1.0 + float(np.abs(d).max())
-    )
-    if float(np.abs(F1.T @ d).max(initial=0.0)) > scale:
+    tol = BASE_TOL * magnitude(F1)
+    if magnitude(F1.T @ d) > tol * magnitude(d):
         raise PreconditionError(
             "columns of F1 must be orthogonal to d",
             condition="columns_orthogonal_to_d",
         )
-    if float(np.abs(F1.sum(axis=1)).max(initial=0.0)) > scale:
+    if magnitude(F1.sum(axis=1)) > tol:
         raise PreconditionError(
             "rows of F1 must sum to zero", condition="rows_sum_zero"
         )
     B = C @ F1 + C
-    tiny = 1e-12 * (1.0 + float(np.abs(B).max(initial=0.0)))
+    tiny = ROUNDING * magnitude(B)
     if float(B.min()) < -tiny:
         k, i = (int(v) for v in np.argwhere(B < -tiny)[0])
         raise PreconditionError(

@@ -17,15 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from ._numerics import as_matrix, as_vector
+from ._numerics import (
+    DEFAULT_TOL,
+    DEFAULT_TOL_INNER,
+    LOG_FLOOR,
+    RESIDUAL_TOL,
+    ROUNDING,
+    as_matrix,
+    as_vector,
+)
 from .errors import (
     DivisionGuardError,
     NonConvergenceError,
     PreconditionError,
 )
 
-DEFAULT_TOL = 1e-6
-DEFAULT_TOL_INNER = 1e-10
+DEFAULT_DAMPING = 0.5
 MAX_INNER_ITERATIONS = 200_000
 STALL_EVALUATIONS = 2000
 
@@ -50,7 +57,7 @@ class PriceVector:
         if not np.any(p > 0):
             raise ValueError("price vector must be nonzero")
         if self.normalization == "simplex":
-            if abs(p.sum() - 1.0) > 1e-12:
+            if abs(p.sum() - 1.0) > ROUNDING:
                 raise ValueError(
                     f"simplex normalization violated: sum(p) = {p.sum()!r}"
                 )
@@ -73,7 +80,7 @@ class PriceVector:
         idx = list(clearing_set)
         lhs = float(psi[idx] @ p[idx])
         rhs = float(psi[idx].sum())
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
+        if abs(lhs - rhs) > ROUNDING * abs(rhs):
             raise ValueError(
                 f"clearing-cost identity violated: {lhs!r} != {rhs!r}"
             )
@@ -181,28 +188,20 @@ def excess_demand(C, B, p):
     return C @ demand_weights(C, B, p) - psi
 
 
-def _tolerance_vector(psi, tol):
-    return tol * np.maximum(1.0, psi)
-
-
-def is_equilibrium(C, B, p, tol=DEFAULT_TOL, tol_clear=None) -> EquilibriumCheck:
+def is_equilibrium(C, B, p, tol=DEFAULT_TOL) -> EquilibriumCheck:
     """Check the equilibrium inequalities; report the clearing set.
 
-    ``tol`` and ``tol_clear`` are relative factors applied per component as
-    ``tol * max(1, psi_k)``.
+    Good ``k`` violates them when its excess demand exceeds ``tol * psi_k``
+    and clears when the excess is at most that in absolute value.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
-    if tol_clear is None:
-        tol_clear = tol
-    psi = B.sum(axis=1)
     excess = excess_demand(C, B, p)
-    tolvec = _tolerance_vector(psi, tol)
-    clearvec = _tolerance_vector(psi, tol_clear)
+    tolvec = tol * B.sum(axis=1)
     violations = tuple(
         (int(k), float(excess[k])) for k in np.where(excess > tolvec)[0]
     )
-    clearing = tuple(int(k) for k in np.where(np.abs(excess) <= clearvec)[0])
+    clearing = tuple(int(k) for k in np.where(np.abs(excess) <= tolvec)[0])
     return EquilibriumCheck(
         ok=not violations,
         clearing_set=clearing,
@@ -293,7 +292,7 @@ def _newton_stage(C, B, psi, p, epsilon, tol_stage):
     n = psi.shape[0]
     if n == 1:
         return np.array([1.0]), 0
-    u_full = np.log(np.maximum(p, 1e-18))
+    u_full = np.log(np.maximum(p, LOG_FLOOR))
     u0 = (u_full - u_full[-1])[:-1]
 
     def gap(u):
@@ -319,16 +318,16 @@ def solve_fixed_point(
     C,
     B,
     schedule=None,
-    damping=0.5,
+    damping=DEFAULT_DAMPING,
     tol=DEFAULT_TOL,
-    tol_clear=None,
     tol_inner=DEFAULT_TOL_INNER,
     max_inner=MAX_INNER_ITERATIONS,
 ) -> EquilibriumSolution:
     """Equilibrium prices via the regularized fixed-point map.
 
     Iterates ``p <- (1-theta) p + theta G_eps(p)`` on the simplex for each
-    epsilon of the decreasing ``schedule``, warm-starting every stage.
+    epsilon of ``schedule``, an :class:`EpsilonSchedule` (by default
+    ``EpsilonSchedule()``), warm-starting every stage.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning) and positive
     aggregate supply for every good.
@@ -362,19 +361,9 @@ def solve_fixed_point(
             )
     if not 0 < damping <= 1:
         raise ValueError("damping must lie in (0, 1]")
-    if schedule is None:
-        schedule = EpsilonSchedule()
-    epsilons = schedule.values() if isinstance(schedule, EpsilonSchedule) else [
-        float(e) for e in schedule
-    ]
-    if not epsilons or any(
-        e2 >= e1 for e1, e2 in zip(epsilons, epsilons[1:])
-    ) or epsilons[-1] <= 0:
-        raise ValueError("epsilon schedule must be positive and strictly decreasing")
-    if tol_clear is None:
-        tol_clear = tol
-    if not all(t > 0 for t in (tol, tol_clear, tol_inner)):
-        raise ValueError("tolerances tol, tol_clear and tol_inner must be positive")
+    epsilons = (schedule or EpsilonSchedule()).values()
+    if not (tol > 0 and tol_inner > 0):
+        raise ValueError("tolerances tol and tol_inner must be positive")
 
     p = np.full(n, 1.0 / n)
     iterations = 0
@@ -408,7 +397,7 @@ def solve_fixed_point(
             p = p_root
 
     residual = float(np.abs(_regularized_map(C, B, psi, p, last_epsilon) - p).max())
-    check = is_equilibrium(C, B, p, tol=tol, tol_clear=tol_clear)
+    check = is_equilibrium(C, B, p, tol=tol)
     if not check.ok:
         k, worst = max(check.violations, key=lambda violation: violation[1])
         raise NonConvergenceError(
@@ -427,7 +416,7 @@ def solve_fixed_point(
         )
     y = demand_weights(C, B, p)
     walras_gap = abs(float((C @ y) @ p - psi @ p))
-    if walras_gap > 1e-8 * max(1.0, abs(float(psi @ p))):
+    if walras_gap > RESIDUAL_TOL * float(psi @ p):
         raise NonConvergenceError(
             f"aggregate cost identity violated by {walras_gap:.3e}",
             residual=walras_gap,
@@ -445,7 +434,7 @@ def solve_fixed_point(
     )
 
 
-def evaluate_solution(C, B, p, tol=DEFAULT_TOL, tol_clear=None) -> EquilibriumSolution:
+def evaluate_solution(C, B, p, tol=DEFAULT_TOL) -> EquilibriumSolution:
     """Package a candidate price vector as a solution object.
 
     The price must already pass the equilibrium check. Evaluated solutions
@@ -455,7 +444,7 @@ def evaluate_solution(C, B, p, tol=DEFAULT_TOL, tol_clear=None) -> EquilibriumSo
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
     p = p.p if isinstance(p, PriceVector) else as_vector(p, "p")
-    check = is_equilibrium(C, B, p, tol=tol, tol_clear=tol_clear)
+    check = is_equilibrium(C, B, p, tol=tol)
     if not check.ok:
         raise PreconditionError(
             f"price vector violates the equilibrium inequalities at goods "

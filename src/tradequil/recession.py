@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import as_matrix, as_vector
+from ._numerics import (
+    DEFAULT_TOL,
+    RESIDUAL_TOL,
+    ROUNDING,
+    as_matrix,
+    as_vector,
+    magnitude,
+)
 from .equilibrium_solver import (
     EquilibriumSolution,
     PriceVector,
@@ -21,10 +28,6 @@ from .equilibrium_solver import (
     is_equilibrium,
 )
 from .errors import DivisionGuardError, PreconditionError
-
-# Relative share of price mass allowed off the clearing set before the
-# supported-price precondition is considered violated.
-_OFF_SUPPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def generalized_price(p0, psi, clearing_set) -> PriceVector:
     """Rescale clearing-set prices to preserve clearing cost; ones elsewhere.
 
     ``p0`` must be supported on the clearing set (mass elsewhere beyond a
-    1e-8 relative share is an error). On the set, prices are renormalized
+    ``RESIDUAL_TOL`` share of the total is an error). On the set, prices are renormalized
     to sum to one and then scaled so that the supply cost over the set is
     unchanged; off the set the price is one, matching current prices.
     """
@@ -123,7 +126,7 @@ def generalized_price(p0, psi, clearing_set) -> PriceVector:
     total = float(p0.sum())
     if total <= 0:
         raise ValueError("p0 must have positive total mass")
-    if off and float(p0[off].sum()) > _OFF_SUPPORT_TOL * total:
+    if off and float(p0[off].sum()) > RESIDUAL_TOL * total:
         raise PreconditionError(
             f"p0 has {float(p0[off].sum()):.3e} of its mass off the clearing "
             "set; a supported price vector is required",
@@ -148,7 +151,8 @@ def recession_level(psi, psi_bar, clearing_set, p1) -> float:
     With real consumption snapped to supply on the clearing set, the
     inner-product form ``<psi - psi_bar, p1>`` reduces exactly to the sum
     over the off-clearing goods because the generalized price is one
-    there; both evaluations are computed and must agree to 1e-12.
+    there; both evaluations are computed and must agree to ``ROUNDING``
+    times the off-clearing supply.
     """
     psi = as_vector(psi, "psi")
     psi_bar = as_vector(psi_bar, "psi_bar")
@@ -169,8 +173,7 @@ def recession_level(psi, psi_bar, clearing_set, p1) -> float:
     shortfall = psi - snapped  # exactly zero on the clearing set
     numerator = float(shortfall[off].sum())
     inner = float(shortfall @ p1)
-    scale = max(1.0, abs(numerator))
-    if abs(inner - numerator) > 1e-12 * scale:
+    if abs(inner - numerator) > ROUNDING * float(psi[off].sum()):
         raise AssertionError(
             "inner-product and reduced recession forms disagree: "
             f"{inner!r} vs {numerator!r}"
@@ -178,7 +181,8 @@ def recession_level(psi, psi_bar, clearing_set, p1) -> float:
     return numerator / float(psi[off].sum())
 
 
-def degeneracy_report(solution: EquilibriumSolution, C, B, tol=1e-6) -> RecessionReport:
+def degeneracy_report(solution: EquilibriumSolution, C, B,
+                      tol=DEFAULT_TOL) -> RecessionReport:
     """Assemble the full degeneracy picture for a converged solution.
 
     Verifies the solution still passes the equilibrium check, rebuilds the
@@ -218,7 +222,7 @@ def degeneracy_report(solution: EquilibriumSolution, C, B, tol=1e-6) -> Recessio
 
     base = excess_demand(C, B0, p1.p)
     rng = np.random.default_rng(0)  # fixed seed: the report is deterministic
-    freedom_tol = 1e-10 * max(1.0, float(np.abs(psi).max()))
+    freedom_tol = ROUNDING * magnitude(psi)
     for _ in range(3):
         perturbed = p1.p.copy()
         if off:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import as_matrix
+from ._numerics import BASE_TOL, as_matrix, magnitude
 from .errors import EmptyMatrixError, InvalidFlowError, SchemaError
 
 CSV_HEADER = ("year", "reporter", "partner", "product", "value")
@@ -113,8 +113,7 @@ class CostMatrices:
             raise ValueError("label counts do not match matrix shape")
         balances = B.sum(axis=0) - C.sum(axis=0)
         residual = float(balances.sum())
-        scale = max(1.0, float(C.sum()), float(B.sum()))
-        if abs(residual) > 1e-9 * scale:
+        if abs(residual) > BASE_TOL * magnitude(C.sum(), B.sum()):
             message = (
                 f"aggregate trade balance does not vanish: sum(t) = {residual:.6g}"
             )

@@ -1,4 +1,5 @@
-"""No tradequil module uses a private name of another tradequil module."""
+"""No tradequil module uses a private name of another tradequil module, and
+every tolerance is named once, in ``_numerics``."""
 
 import ast
 from pathlib import Path
@@ -54,5 +55,27 @@ def test_no_module_uses_a_private_name_of_another():
         f"{path.name}:{line}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, name in private_reaches(path.read_text(encoding="utf-8"))
+    ]
+    assert offences == []
+
+
+def small_float_literals(source):
+    """``(line, value)`` of every float literal in ``(0, 1e-6]``: the range of
+    the tolerances, which live only in ``_numerics``."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0.0 < node.value <= 1e-6)
+
+
+def test_checker_finds_small_float_literals():
+    source = "x = 1e-9 * y\nz = max(1.0, w) + 0.5 + 1e-2\nt = 1e-6\nu = 0.0"
+    assert small_float_literals(source) == [(1, 1e-9), (3, 1e-6)]
+
+
+def test_tolerances_are_named_only_in_numerics():
+    offences = [
+        f"{path.name}:{line}: {value!r}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "_numerics.py"
+        for line, value in small_float_literals(path.read_text(encoding="utf-8"))
     ]
     assert offences == []
