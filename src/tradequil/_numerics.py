@@ -1,9 +1,18 @@
-"""Small shared numerical helpers: the tolerance policy, array coercion, rank."""
+"""Small shared numerical helpers: the tolerance policy, array coercion, rank,
+and the package's only entry points into scipy.
+
+Every scipy routine the package calls goes through a function here that
+imports it on its first call. Importing ``scipy.optimize`` takes most of the
+start-up time of the CLI, yet ``ingest``, ``shares`` and ``report`` never
+call scipy, and ``solve`` calls it only in the Newton fallback; loaded
+lazily, scipy is paid for only by the calls that use it. Callers bind these
+names at module level (``from ._numerics import linprog``), so tests and
+tracing can rebind them per module.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import RankDeficiencyError
 
@@ -26,6 +35,31 @@ def magnitude(*arrays):
     return max(float(np.abs(a).max(initial=0.0)) for a in arrays)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, loaded on first use."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
+
+
+def root(*args, **kwargs):
+    """``scipy.optimize.root``, loaded on first use."""
+    from scipy import optimize
+
+    return optimize.root(*args, **kwargs)
+
+
+def strong_components(adjacency):
+    """Number of strongly connected components of the directed graph with an
+    edge ``i -> j`` wherever ``adjacency[i, j]`` is nonzero."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    count, _ = connected_components(csr_matrix(adjacency), directed=True,
+                                    connection="strong")
+    return count
+
+
 def nnls_solve(A, b):
     """Nonnegative least squares ``argmin_{x>=0} ||A x - b||_2``.
 
@@ -33,6 +67,8 @@ def nnls_solve(A, b):
     solution (scipy's ``nnls`` misreports both on some inputs; BVLS is an
     exact active-set method for these small dense problems).
     """
+    from scipy.optimize import lsq_linear
+
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:

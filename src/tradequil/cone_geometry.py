@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._numerics import (
     BASE_TOL,
     ROUNDING,
     as_matrix,
     as_vector,
+    linprog,
     magnitude,
     nnls_solve,
     numerical_rank,

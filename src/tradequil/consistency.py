@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import cone_geometry
 from ._numerics import (
@@ -27,9 +24,11 @@ from ._numerics import (
     ROUNDING,
     as_matrix,
     as_vector,
+    linprog,
     magnitude,
     nnls_solve,
     numerical_rank,
+    strong_components,
 )
 from .cone_geometry import Membership, classify_membership
 from .errors import (
@@ -128,9 +127,7 @@ def _support_strongly_connected(B1, tol):
     l = B1.shape[0]
     if l == 1:
         return bool(B1[0, 0] > tol)
-    support = csr_matrix((np.abs(B1) > tol).astype(np.int8))
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return n_comp == 1
+    return strong_components((np.abs(B1) > tol).astype(np.int8)) == 1
 
 
 def _classify_factor(C, B, B1):

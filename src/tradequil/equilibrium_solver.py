@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from ._numerics import (
     DEFAULT_TOL,
@@ -25,6 +24,7 @@ from ._numerics import (
     ROUNDING,
     as_matrix,
     as_vector,
+    root,
 )
 from .errors import (
     DivisionGuardError,

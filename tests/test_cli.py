@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tradequil
 from tradequil.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 TOY_CSV = (
@@ -242,3 +247,39 @@ class TestReport:
         )
         assert code == EXIT_INPUT
         assert not (out / "re").exists()
+
+
+# Runs in a fresh interpreter: the CLI steps that need no scipy, then a
+# consistency certificate, whose LPs and strong-components test load it.
+FRESH_CHILD = """
+import json, sys
+from tradequil.cli import main
+csv_path, out, C, B = sys.argv[1:]
+codes = [main(["ingest", "--input", csv_path, "--out", out]),
+         main(["shares", "--input", out + "/matrices_2020.json",
+               "--out", out + "/shares"])]
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+import numpy as np
+from tradequil import certify_consistency
+label = certify_consistency(np.array(json.loads(C)), np.array(json.loads(B)), I=(0, 1)).label
+print(json.dumps({"codes": codes, "loaded": loaded, "label": label,
+                  "optimize_after": "scipy.optimize" in sys.modules}))
+"""
+
+
+class TestStartup:
+    def test_scipy_loads_only_when_first_called(self, tmp_path):
+        C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        B = np.array([[0.0, 1.0], [1.0, 0.0], [1.5, 1.5]])
+        src = str(Path(tradequil.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_CHILD, str(write_csv(tmp_path)),
+             str(tmp_path / "out"), json.dumps(C.tolist()), json.dumps(B.tolist())],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        child = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert child["codes"] == [EXIT_OK, EXIT_OK]
+        assert child["loaded"] == []
+        assert child["optimize_after"]
+        assert child["label"] == tradequil.certify_consistency(C, B, I=(0, 1)).label

@@ -1,5 +1,6 @@
-"""No tradequil module uses a private name of another tradequil module, and
-every tolerance is named once, in ``_numerics``."""
+"""No tradequil module uses a private name of another tradequil module,
+every tolerance is named once, in ``_numerics``, and only ``_numerics``
+imports scipy, inside the functions that call it."""
 
 import ast
 from pathlib import Path
@@ -77,5 +78,44 @@ def test_tolerances_are_named_only_in_numerics():
         f"{path.name}:{line}: {value!r}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "_numerics.py"
         for line, value in small_float_literals(path.read_text(encoding="utf-8"))
+    ]
+    assert offences == []
+
+
+def scipy_imports(source):
+    """``(line, in_function)`` of every import of ``scipy`` in ``source``."""
+    tree = ast.parse(source)
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno, id(node) in nested))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import numpy as np\nfrom scipy.optimize import linprog", [(2, False)]),
+    ("def f(a):\n    import scipy.sparse as sp\n    return sp.csr_matrix(a)\n"
+     "import scipy", [(2, True), (4, False)]),
+    ("from ._numerics import linprog\nimport scipyx\nfrom .scipy import x", []),
+])
+def test_checker_finds_scipy_imports(source, expected):
+    assert scipy_imports(source) == expected
+
+
+def test_only_numerics_imports_scipy_and_only_on_first_use():
+    offences = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, in_function in scipy_imports(path.read_text(encoding="utf-8"))
+        if path.name != "_numerics.py" or not in_function
     ]
     assert offences == []
