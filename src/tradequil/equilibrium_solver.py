@@ -165,17 +165,15 @@ class EpsilonSchedule:
         return [self.start * self.ratio ** (-m) for m in range(self.steps)]
 
 
-def demand_weights(C, B, p, epsilon=0.0):
-    """Per-agent income-to-demand-cost ratios <b_i,p>/(<C_i,p>+n*eps)."""
-    n = C.shape[0]
-    cost = C.T @ p + n * epsilon
-    if epsilon == 0.0:
-        zero = np.where(cost <= 0)[0]
-        if zero.size:
-            raise DivisionGuardError(
-                f"demand cost <C_i, p> vanishes for agent {zero[0]}",
-                agent=int(zero[0]),
-            )
+def demand_weights(C, B, p):
+    """Per-agent income-to-demand-cost ratios <b_i,p>/<C_i,p>."""
+    cost = C.T @ p
+    zero = np.where(cost <= 0)[0]
+    if zero.size:
+        raise DivisionGuardError(
+            f"demand cost <C_i, p> vanishes for agent {zero[0]}",
+            agent=int(zero[0]),
+        )
     return (B.T @ p) / cost
 
 
@@ -210,13 +208,33 @@ def is_equilibrium(C, B, p, tol=DEFAULT_TOL) -> EquilibriumCheck:
     )
 
 
-def _regularized_map(C, B, psi, p, epsilon):
-    w = demand_weights(C, B, p, epsilon)
-    f = (p * (C @ w) + epsilon * w.sum()) / psi
-    return f / f.sum()
+def _stage_map(C, B, psi, epsilon):
+    """The regularized map G_eps of one stage, on the simplex:
+
+        w_i = <b_i, p> / (<C_i, p> + n*eps),
+        G(p) ~ (p * (C @ w) + eps * sum(w)) / psi,  normalized to sum 1.
+
+    The transposes and ``n*eps`` are bound once per stage; the solver spends
+    most of its time here, so the loop calls the reductions directly.
+    """
+    CT, BT = C.T, B.T
+    shift = C.shape[0] * epsilon
+    add = np.add.reduce
+
+    def stage_map(p):
+        w = (BT @ p) / (CT @ p + shift)
+        f = (p * (C @ w) + epsilon * add(w)) / psi
+        return f / add(f)
+
+    return stage_map
 
 
-def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
+def _residual(G, p):
+    """Fixed-point residual max|G(p) - p|."""
+    return float(np.maximum.reduce(np.abs(G(p) - p)))
+
+
+def _run_stage(G, p, theta, tol_stage, cap):
     """Damped iteration at fixed epsilon, with safeguarded extrapolation.
 
     The merit function is the fixed-point residual max|G(p) - p|. Every 16
@@ -226,16 +244,17 @@ def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
     above it. Deterministic; returns (p, map evaluations, exit), the exit being
     "converged", "stalled" (no new best residual in ``STALL_EVALUATIONS``) or "cap".
     """
-    g = _regularized_map(C, B, psi, p, epsilon)
+    peak, add = np.maximum.reduce, np.add.reduce
+    g = G(p)
     evals = 1
     d_prev = None
-    best_p, best_resid = p, float(np.abs(g - p).max())
+    best_p, best_resid = p, float(peak(np.abs(g - p)))
     evals_at_best = evals
     extrapolate = True
     reverted = False
     it = 0
     while evals < cap:
-        resid = float(np.abs(g - p).max())
+        resid = float(peak(np.abs(g - p)))
         if resid <= tol_stage:
             return p, evals, "converged"
         if evals - evals_at_best > STALL_EVALUATIONS:
@@ -247,31 +266,31 @@ def _run_stage(C, B, psi, p, epsilon, theta, tol_stage, cap):
         elif not reverted and resid > 10.0 * best_resid:
             # The orbit drifted; restart from the best point without jumps.
             p, reverted, extrapolate, d_prev = best_p, True, False, None
-            g = _regularized_map(C, B, psi, p, epsilon)
+            g = G(p)
             evals += 1
             continue
         p_new = (1 - theta) * p + theta * g
-        p_new = p_new / p_new.sum()
+        p_new = p_new / add(p_new)
         d = p_new - p
         if extrapolate and d_prev is not None and it % 16 == 15:
             den = float(d_prev @ d_prev)
             rate = float(d @ d_prev) / den if den > 0 else 0.0
             if 0.0 < rate < 1.0:
                 cand = p_new + d * (rate / (1.0 - rate))
-                if np.all(cand >= 0) and cand.sum() > 0:
-                    cand = cand / cand.sum()
-                    g_cand = _regularized_map(C, B, psi, cand, epsilon)
+                if np.all(cand >= 0) and add(cand) > 0:
+                    cand = cand / add(cand)
+                    g_cand = G(cand)
                     evals += 1
-                    if float(np.abs(g_cand - cand).max()) < 0.9 * resid:
+                    if float(peak(np.abs(g_cand - cand))) < 0.9 * resid:
                         p, g, d_prev = cand, g_cand, None
                         it += 1
                         continue
         p, d_prev = p_new, d
-        g = _regularized_map(C, B, psi, p, epsilon)
+        g = G(p)
         evals += 1
         it += 1
     stage_exit = "cap" if evals >= cap else "stalled"
-    return best_p if best_resid < float(np.abs(g - p).max()) else p, evals, stage_exit
+    return best_p if best_resid < float(peak(np.abs(g - p))) else p, evals, stage_exit
 
 
 def _softmax(v):
@@ -282,14 +301,14 @@ def _softmax(v):
     return x / total if np.isfinite(total) else None
 
 
-def _newton_stage(C, B, psi, p, epsilon, tol_stage):
+def _newton_stage(G, p, tol_stage):
     """Stage fixed point by root finding in softmax coordinates.
 
     The regularized map keeps every stage fixed point strictly positive, so
     the softmax parametrization is exact; the result is accepted only when
     the verified fixed-point residual meets the stage tolerance.
     """
-    n = psi.shape[0]
+    n = p.shape[0]
     if n == 1:
         return np.array([1.0]), 0
     u_full = np.log(np.maximum(p, LOG_FLOOR))
@@ -302,14 +321,13 @@ def _newton_stage(C, B, psi, p, epsilon, tol_stage):
             # it finite instead lets hybr reach points where a good's price
             # collapses, and more solves fail.
             return np.full(n - 1, np.nan)
-        return (_regularized_map(C, B, psi, q, epsilon) - q)[:-1]
+        return (G(q) - q)[:-1]
 
     result = root(gap, u0, method="hybr")
     q = _softmax(np.append(result.x, 0.0))
     if q is None:
         return None, int(result.nfev)
-    residual = float(np.abs(_regularized_map(C, B, psi, q, epsilon) - q).max())
-    if residual <= tol_stage:
+    if _residual(G, q) <= tol_stage:
         return q, int(result.nfev)
     return None, int(result.nfev)
 
@@ -371,19 +389,16 @@ def solve_fixed_point(
     for m, epsilon in enumerate(epsilons):
         is_last = m == len(epsilons) - 1
         tol_stage = tol_inner if is_last else max(tol_inner, epsilon * 1e-2)
-        p, used, stage_exit = _run_stage(
-            C, B, psi, p, epsilon, damping, tol_stage, max_inner
-        )
+        G = _stage_map(C, B, psi, epsilon)
+        p, used, stage_exit = _run_stage(G, p, damping, tol_stage, max_inner)
         iterations += used
         if stage_exit != "converged":
             # Root-find the stage fixed point directly, then verify it; the
             # damped orbit can stall when the map is barely contractive.
-            p_root, used_root = _newton_stage(C, B, psi, p, epsilon, tol_stage)
+            p_root, used_root = _newton_stage(G, p, tol_stage)
             iterations += used_root
             if p_root is None:
-                residual = float(
-                    np.abs(_regularized_map(C, B, psi, p, epsilon) - p).max()
-                )
+                residual = _residual(G, p)
                 reason = (f"stalled after {used} map evaluations (no new best residual "
                           f"in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
                           f"hit the {max_inner}-evaluation cap after {used} map evaluations")
@@ -396,7 +411,7 @@ def solve_fixed_point(
                 )
             p = p_root
 
-    residual = float(np.abs(_regularized_map(C, B, psi, p, last_epsilon) - p).max())
+    residual = _residual(G, p)  # G is the last stage's map
     check = is_equilibrium(C, B, p, tol=tol)
     if not check.ok:
         k, worst = max(check.violations, key=lambda violation: violation[1])

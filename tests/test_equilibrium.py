@@ -16,7 +16,7 @@ from tradequil import (
     is_equilibrium,
     solve_fixed_point,
 )
-from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS, _softmax
+from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS, _softmax, _stage_map
 
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
 SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -202,6 +202,17 @@ class TestSolveFixedPoint:
         # stage's root finder can change its outcome on a last-bit change.
         v = np.array([1.73, 4.11, 1.65, 0.0])
         np.testing.assert_array_equal(_softmax(v), np.exp(v) / np.exp(v).sum())
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-5, 0.0])
+    def test_stage_map_is_the_written_out_map(self, rng, epsilon):
+        # Bit for bit, for the same reason as the softmax above.
+        C = rng.uniform(1e6, 1e9, (5, 7))
+        B = rng.uniform(1e6, 1e9, (5, 7))
+        psi = B.sum(axis=1)
+        p = rng.dirichlet(np.ones(5))
+        w = (B.T @ p) / (C.T @ p + 5 * epsilon)
+        f = (p * (C @ w) + epsilon * w.sum()) / psi
+        np.testing.assert_array_equal(_stage_map(C, B, psi, epsilon)(p), f / f.sum())
 
     @pytest.mark.parametrize("name", ["tol", "tol_inner"])
     def test_nonpositive_tolerance_rejected(self, name):
