@@ -125,7 +125,7 @@ def _load_matrices(path):
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read matrices file {path}: {exc}") from exc
-    cm = CostMatrices.from_dict(payload, balance_mode="warn")
+    cm = CostMatrices.from_dict(payload)
     return cm, payload.get("year", "unknown")
 
 
@@ -174,7 +174,7 @@ def cmd_shares(args) -> int:
     report = shares(cm)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for section, _labels in report._SECTIONS:
+    for section, _labels in report.SECTIONS:
         with open(out / f"shares_{section}.csv", "w", encoding="utf-8",
                   newline="") as handle:
             writer = csv.writer(handle)

@@ -5,7 +5,9 @@ factors through the demand matrix, ``B = C @ B1``. The quality of the
 factor (nonnegative and indecomposable, or merely with nonnegative row
 sums) decides whether a market-clearing price vector exists; the route to
 that price runs through a strictly positive eigenvector ``d`` of the
-factor and a nonnegative solve of ``C.T @ p = d``. The same route decides
+factor and a nonnegative solve of ``C.T @ p = d``. ``d`` is read off the
+kernel of ``B1.T - diag(y)``, computed once by a singular value
+decomposition; nothing on the route iterates. The same route decides
 whether an ideal equilibrium exists: prices at which every agent's trade
 balance vanishes.
 """
@@ -40,8 +42,6 @@ from .errors import (
     RankDeficiencyError,
 )
 
-_POWER_CAP = 100_000
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -73,7 +73,6 @@ class DVector:
     """Strictly positive solution of the factor eigen-system."""
 
     d: np.ndarray
-    in_cone_certificate: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -392,13 +391,14 @@ def _clearing_row_sums(C, B, I):
 def solve_D(fact: Factorization, y=None) -> DVector:
     """Strictly positive d with ``B1.T @ d = y * d`` (componentwise).
 
-    ``y`` defaults to the factor's row sums. Nonnegative factors are solved
-    by averaged power iteration on the row-normalized transpose; factors
-    with negative entries (arising for balanced-trade constructions) fall
-    back to a null-space search for a positive vector.
+    ``y`` defaults to the factor's row sums. ``d`` comes from the kernel of
+    ``B1.T - diag(y)``: a one-dimensional kernel gives it up to sign, and a
+    larger one (a decomposable factor, or one with negative entries) is
+    searched by one linear program for the vector whose smallest entry is
+    largest. ``d`` is scaled to ``sum(d) = l`` and its residual is verified.
+    Raises ``InfeasibleError`` when the kernel holds no strictly positive
+    vector.
     """
-    B1 = np.asarray(fact.B1, dtype=float)
-    l = B1.shape[0]
     if y is None:
         y = np.asarray(fact.row_sums, dtype=float)
     else:
@@ -410,11 +410,48 @@ def solve_D(fact: Factorization, y=None) -> DVector:
             "eigen-system ratio is undefined",
             agent=int(bad[0]),
         )
+    _, d = _eigen_space(np.asarray(fact.B1, dtype=float), y)
+    return DVector(d=d)
 
-    if fact.nonnegative:
-        d = _power_iteration(B1, y)
+
+def _eig_residual(B1, y, d):
+    rhs = y * d  # y and d are dimensionless
+    return magnitude(B1.T @ d - rhs) / max(1.0, magnitude(rhs))
+
+
+def _eigen_space(B1, y):
+    """Kernel of ``B1.T - diag(y)`` and a verified strictly positive ``d``
+    in it with ``sum(d) = l``.
+
+    The kernel is cut off absolutely, at ``ROUNDING * max(1, max|B1|,
+    max|y|)``: a relative cutoff fails when the matrix itself is numerical
+    noise (for example a factor that is the identity up to roundoff).
+    ``B1`` and ``y`` are dimensionless.
+    """
+    l = B1.shape[0]
+    _, s, vt = np.linalg.svd(B1.T - np.diag(y))
+    cutoff = ROUNDING * max(1.0, magnitude(B1, y))
+    kernel = vt[int(np.sum(s > cutoff)):].T
+    if kernel.size == 0:
+        raise InfeasibleError("the eigen-system has no nonzero solution")
+    if kernel.shape[1] == 1:
+        d = kernel[:, 0]
+        if d.sum() < 0:
+            d = -d
+        if not np.all(d > 0):
+            raise InfeasibleError(
+                "the one-dimensional eigen-space contains no positive vector",
+                detail={"kernel": kernel},
+            )
     else:
-        d = _nullspace_positive(B1, y)
+        found = _positive_kernel_vector(kernel)
+        if found is None:
+            raise InfeasibleError(
+                "the eigen-space contains no strictly positive vector",
+                detail={"kernel": kernel},
+            )
+        d = found[0]
+    d = d * (l / d.sum())
 
     residual = _eig_residual(B1, y, d)
     if residual > EIG_TOL:
@@ -427,75 +464,7 @@ def solve_D(fact: Factorization, y=None) -> DVector:
             "eigen-system solution is not strictly positive",
             detail={"d": d},
         )
-    return DVector(d=d)
-
-
-def _eig_residual(B1, y, d):
-    rhs = y * d  # y and d are dimensionless
-    return magnitude(B1.T @ d - rhs) / max(1.0, magnitude(rhs))
-
-
-def _power_iteration(B1, y):
-    l = B1.shape[0]
-    M = B1.T / y[:, None]
-    d = np.ones(l)
-    for _ in range(_POWER_CAP):
-        # Averaging with the identity removes periodic oscillation without
-        # moving the fixed points.
-        d_new = 0.5 * (M @ d) + 0.5 * d
-        total = d_new.sum()
-        if total <= 0:
-            raise NonConvergenceError("power iteration collapsed to zero")
-        d_new *= l / total
-        if np.abs(d_new - d).max() <= ROUNDING:
-            return d_new
-        d = d_new
-    raise NonConvergenceError(
-        f"power iteration did not converge in {_POWER_CAP} steps",
-        residual=_eig_residual(B1, y, d),
-        iterations=_POWER_CAP,
-    )
-
-
-def near_kernel(A, scale=1.0):
-    """Orthonormal basis of the numerical kernel with an absolute cutoff.
-
-    A relative cutoff fails when ``A`` itself is numerical noise (for
-    example a factor that is the identity up to roundoff); singular values
-    below ``ROUNDING * max(1, scale)`` count as zero. ``A`` and ``scale`` are
-    dimensionless (a factor and its row sums).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    _, s, vt = np.linalg.svd(A)
-    cutoff = ROUNDING * max(1.0, float(scale))
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
-
-
-def _nullspace_positive(B1, y):
-    l = B1.shape[0]
-    scale = max(float(np.abs(B1).max()), float(np.abs(y).max()))
-    kernel = near_kernel(B1.T - np.diag(y), scale)
-    if kernel.size == 0:
-        raise InfeasibleError("the eigen-system has no nonzero solution")
-    if kernel.shape[1] == 1:
-        d = kernel[:, 0]
-        if d.sum() < 0:
-            d = -d
-        if np.all(d > 0):
-            return d * (l / d.sum())
-        raise InfeasibleError(
-            "the one-dimensional eigen-space contains no positive vector",
-            detail={"kernel": kernel},
-        )
-    found = _positive_kernel_vector(kernel)
-    if found is None:
-        raise InfeasibleError(
-            "the eigen-space contains no strictly positive vector",
-            detail={"kernel": kernel},
-        )
-    d = found[0]
-    return d * (l / d.sum())
+    return kernel, d
 
 
 def _positive_kernel_vector(kernel, C=None):
@@ -599,21 +568,18 @@ def exists_ideal(C, B) -> IdealExistence:
 
     # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
     # to exactly one so the unit-ratio eigen-system is the right one.
-    fact = _classify_factor(C, B, _with_row_sums(C, fact.B1, np.ones(l)))
+    B1 = _with_row_sums(C, fact.B1, np.ones(l))
     try:
-        dvec = solve_D(fact, y=np.ones(l))
+        kernel, d = _eigen_space(B1, np.ones(l))
     except (ValueError, NonConvergenceError) as exc:
         return IdealExistence(False, None, None, f"eigen-system failed: {exc}")
 
-    d, p0 = dvec.d, None
     recovery = price_from_D(C, d)
-    if recovery:
-        p0 = recovery.p0
-    else:
-        # The eigen-space may contain other positive vectors; search it for
-        # one inside the row cone before giving up.
-        kernel = near_kernel(fact.B1.T - np.eye(l), float(np.abs(fact.B1).max()))
-        found = _positive_kernel_vector(kernel, C) if kernel.size else None
+    p0 = recovery.p0
+    if not recovery:
+        # A one-dimensional eigen-space holds no other positive d; a larger
+        # one may hold one inside the row cone, so search it before giving up.
+        found = _positive_kernel_vector(kernel, C) if kernel.shape[1] > 1 else None
         if found is None:
             return IdealExistence(
                 False, None, d, "d lies outside the cone of the rows of C"

@@ -143,17 +143,24 @@ class CostMatrices:
         }
 
     @classmethod
-    def from_dict(cls, data, balance_mode="warn"):
+    def from_dict(cls, data):
+        """Inverse of ``to_dict``; a nonzero aggregate balance only warns."""
+        if not isinstance(data, dict):
+            raise SchemaError(
+                f"matrices file must hold a JSON object, not {type(data).__name__}"
+            )
         try:
             return cls.from_supply_demand(
                 data["C"],
                 data["B"],
                 countries=data["countries"],
                 goods=data["goods"],
-                balance_mode=balance_mode,
+                balance_mode="warn",
             )
         except KeyError as exc:
             raise SchemaError(f"matrices file is missing field {exc}") from exc
+        except TypeError as exc:
+            raise SchemaError(f"matrices file has a field of the wrong type: {exc}") from exc
 
 
 def build_cost_matrices(flows: TradeFlowTensor) -> CostMatrices:
@@ -191,7 +198,7 @@ class ShareReport:
     goods_demand: np.ndarray
     goods_supply: np.ndarray
 
-    _SECTIONS = (
+    SECTIONS = (
         ("country_demand", "country_labels"),
         ("country_supply", "country_labels"),
         ("goods_demand", "goods_labels"),
@@ -199,14 +206,14 @@ class ShareReport:
     )
 
     def ranked(self, section):
-        labels = getattr(self, dict(self._SECTIONS)[section])
+        labels = getattr(self, dict(self.SECTIONS)[section])
         values = getattr(self, section)
         order = np.argsort(-values, kind="stable")
         return [(labels[i], float(values[i])) for i in order]
 
     def to_dict(self):
         out = {"schema_version": 1}
-        for section, _ in self._SECTIONS:
+        for section, _ in self.SECTIONS:
             out[section] = {
                 "shares": getattr(self, section).tolist(),
                 "ranked": [[label, value] for label, value in self.ranked(section)],

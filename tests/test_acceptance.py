@@ -305,9 +305,7 @@ def test_g20_regression():
         matrices = Path(data_dir) / f"matrices_{year}.json"
         flows = Path(data_dir) / f"flows_{year}.csv"
         if matrices.exists():
-            cm = CostMatrices.from_dict(
-                json.loads(matrices.read_text()), balance_mode="warn"
-            )
+            cm = CostMatrices.from_dict(json.loads(matrices.read_text()))
         elif flows.exists():
             tensors = read_flows_csv(flows, year=year)
             cm = build_cost_matrices(tensors[year])

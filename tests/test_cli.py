@@ -213,6 +213,18 @@ class TestShares:
         payload = json.loads((out / "shares" / "shares.json").read_text())
         assert payload["country_supply"]["ranked"][0][0] == "b"
 
+    @pytest.mark.parametrize("text, problem", [
+        ("[1, 2, 3]", "must hold a JSON object"),
+        ('{"C": [[1]], "B": [[1]], "countries": 5, "goods": ["g"]}', "wrong type"),
+    ])
+    def test_malformed_matrices_file_is_input_error(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "matrices.json"
+        path.write_text(text, encoding="utf-8")
+        code = run("shares", "--input", path, "--out", tmp_path / "o")
+        assert code == EXIT_INPUT
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestReport:
     def test_rerender_matches_solve_output(self, tmp_path):

@@ -175,6 +175,31 @@ class TestSolveD:
         with pytest.raises(InfeasibleError):
             solve_D(make_fact(B1, nonnegative=False), y=np.ones(3))
 
+    def test_slowly_mixing_factor_solved_exactly(self):
+        # The second eigenvalue of B1.T is 1 - 3e-4. By substitution,
+        # 1e-4 d1 = 2e-4 d2, so d = (4/3, 2/3) for sum(d) = 2.
+        B1 = [[1.0 - 1e-4, 1e-4], [2e-4, 1.0 - 2e-4]]
+        d = solve_D(make_fact(B1)).d
+        np.testing.assert_allclose(d, [4.0 / 3.0, 2.0 / 3.0], rtol=1e-10)
+
+    def test_decomposable_factor_with_two_dimensional_eigen_space(self):
+        # Two stochastic blocks: each contributes one eigenvector of
+        # eigenvalue 1, so any positive mix of the two solves the system.
+        B1 = np.zeros((4, 4))
+        B1[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
+        B1[2:, 2:] = [[0.2, 0.8], [0.6, 0.4]]
+        fact = make_fact(B1, mode="weak", indecomposable=False, strictly_positive=False)
+        d = solve_D(fact).d
+        y = fact.row_sums
+        assert np.all(d > 0)
+        resid = np.abs(B1.T @ d - y * d).max() / max(1.0, np.abs(y * d).max())
+        assert resid <= 1e-10
+        vals, vecs = np.linalg.eig(B1.T / y[:, None])
+        space = np.real(vecs[:, np.abs(vals - 1.0) <= 1e-9])
+        assert space.shape[1] == 2
+        coeffs, *_ = np.linalg.lstsq(space, d, rcond=None)
+        assert np.abs(space @ coeffs - d).max() <= 1e-10 * np.abs(d).max()
+
     def test_zero_row_sum_rejected(self):
         fact = make_fact([[0.0, 0.0], [1.0, 1.0]], mode="weak", indecomposable=False)
         with pytest.raises(DivisionGuardError) as err:

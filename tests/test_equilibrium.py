@@ -16,6 +16,7 @@ from tradequil import (
     is_equilibrium,
     solve_fixed_point,
 )
+from tradequil import consistency
 from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS, _softmax, _stage_map
 
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -288,6 +289,32 @@ class TestExistsIdeal:
         result = exists_ideal(C, B)
         assert not result.exists
         assert result.reason is not None
+
+    def test_slowly_mixing_factor_admits_ideal(self):
+        # With C = I the factor is B itself, whose eigen-system gives
+        # d = (4/3, 2/3); p = d zeroes both balances.
+        B = np.array([[1.0 - 1e-4, 1e-4], [2e-4, 1.0 - 2e-4]])
+        result = exists_ideal(np.eye(2), B)
+        assert result.exists
+        assert result.p0[0] / result.p0[1] == pytest.approx(2.0, rel=1e-10)
+
+    def test_one_dimensional_eigen_space_runs_no_program(self, monkeypatch):
+        # One good, bought 1:3 and sold 2:2. The factor pinned to unit row
+        # sums is the all-0.5 matrix, whose eigen-space is spanned by
+        # (1, 1); that d is not a multiple of the row (1, 3) of C.
+        calls = []
+        real = consistency.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(consistency, "linprog", counted)
+        result = exists_ideal(np.array([[1.0, 3.0]]), np.array([[2.0, 2.0]]))
+        assert not result.exists
+        assert result.reason == "d lies outside the cone of the rows of C"
+        np.testing.assert_allclose(result.d, [1.0, 1.0], atol=1e-12)
+        assert calls == []
 
     def test_random_ideal_triples(self, rng):
         for _ in range(10):
