@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -37,6 +39,8 @@ class TradeFlowTensor:
             raise InvalidFlowError(f"need at least 2 countries, got {m}")
         if n < 1:
             raise InvalidFlowError("need at least 1 good")
+        _unique_labels(self.countries, "countries", InvalidFlowError)
+        _unique_labels(self.goods, "goods", InvalidFlowError)
         if flow.shape != (m, m, n):
             raise InvalidFlowError(
                 f"flow shape {flow.shape} does not match ({m}, {m}, {n})"
@@ -242,104 +246,97 @@ def shares(cm: CostMatrices) -> ShareReport:
     )
 
 
+def _unique_labels(labels, what, error):
+    """The set of ``labels``; raises ``error`` naming the first repeated label."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise error(f"{what} list names {label!r} twice")
+        seen.add(label)
+    return seen
+
+
+def _positions(labels, order):
+    """Index in ``order`` of each of ``labels``."""
+    index = {label: i for i, label in enumerate(order)}
+    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
 def read_flows_csv(path, year=None, countries=None, products=None):
     """Parse a flow CSV into one :class:`TradeFlowTensor` per year.
 
-    Expected header: ``year,reporter,partner,product,value``. Duplicate
-    (year, reporter, partner, product) rows are summed. When ``countries``
-    or ``products`` are given, labels outside those universes are schema
-    errors; otherwise labels are discovered from the data and ordered by
-    first appearance. Self-flows with nonzero value are schema errors.
+    Expected header: ``year,reporter,partner,product,value``; blank rows
+    are skipped. All bad rows raise one :class:`SchemaError` whose ``rows``
+    pair the physical line on which each row ends (header = line 1) with
+    its first problem. Duplicate (year, reporter, partner, product) rows
+    are summed in file order. Given ``countries`` or ``products`` fix the
+    label order, must not repeat a label, and make labels outside them
+    schema errors; otherwise labels are ordered by first appearance,
+    reporter before partner. Nonzero self-flows are schema errors.
     """
-    known_countries = set(countries) if countries is not None else None
-    known_products = set(products) if products is not None else None
-    problems = []
-    cells = {}
-    country_order = list(countries) if countries is not None else []
-    product_order = list(products) if products is not None else []
-    seen_countries = set(country_order)
-    seen_products = set(product_order)
-
+    known_countries = None if countries is None else _unique_labels(
+        countries, "countries", SchemaError)
+    known_products = None if products is None else _unique_labels(
+        products, "products", SchemaError)
+    problems, kept = [], []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise SchemaError("empty file: expected header "
-                              + ",".join(CSV_HEADER), rows=[(1, "missing header")])
+            raise SchemaError("empty file: expected header " + ",".join(CSV_HEADER),
+                              rows=[(1, "missing header")])
         if tuple(h.strip().lower() for h in header) != CSV_HEADER:
-            raise SchemaError(
-                f"bad header {header!r}: expected {','.join(CSV_HEADER)}",
-                rows=[(1, "bad header")],
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+            raise SchemaError(f"bad header {header!r}: expected {','.join(CSV_HEADER)}",
+                              rows=[(1, "bad header")])
+        for row in reader:
             if len(row) != 5:
-                problems.append((lineno, f"expected 5 fields, got {len(row)}"))
+                if "".join(row).strip():
+                    problems.append((reader.line_num, f"expected 5 fields, got {len(row)}"))
                 continue
-            raw_year, reporter, partner, product, raw_value = (
-                cell.strip() for cell in row
-            )
+            raw_year, reporter, partner, product, raw_value = map(str.strip, row)
             try:
                 row_year = int(raw_year)
-            except ValueError:
-                problems.append((lineno, f"bad year {raw_year!r}"))
+            except ValueError:  # also reached by a blank row, which is skipped
+                if raw_year or reporter or partner or product or raw_value:
+                    problems.append((reader.line_num, f"bad year {raw_year!r}"))
                 continue
             if year is not None and row_year != year:
                 continue
             try:
                 value = float(raw_value)
             except ValueError:
-                problems.append((lineno, f"bad value {raw_value!r}"))
+                problems.append((reader.line_num, f"bad value {raw_value!r}"))
                 continue
-            if not np.isfinite(value) or value < 0:
-                problems.append((lineno, f"negative or non-finite value {value!r}"))
+            if not isfinite(value) or value < 0:
+                problem = f"negative or non-finite value {value!r}"
+            elif known_countries is not None and reporter not in known_countries:
+                problem = f"unknown country {reporter!r}"
+            elif known_countries is not None and partner not in known_countries:
+                problem = f"unknown country {partner!r}"
+            elif known_products is not None and product not in known_products:
+                problem = f"unknown product {product!r}"
+            elif reporter == partner and value != 0:
+                problem = f"self-flow for {reporter!r}"
+            else:
+                kept.append((row_year, reporter, partner, product, value))
                 continue
-            if known_countries is not None and reporter not in known_countries:
-                problems.append((lineno, f"unknown country {reporter!r}"))
-                continue
-            if known_countries is not None and partner not in known_countries:
-                problems.append((lineno, f"unknown country {partner!r}"))
-                continue
-            if known_products is not None and product not in known_products:
-                problems.append((lineno, f"unknown product {product!r}"))
-                continue
-            if reporter == partner and value != 0:
-                problems.append((lineno, f"self-flow for {reporter!r}"))
-                continue
-            for label in (reporter, partner):
-                if label not in seen_countries:
-                    seen_countries.add(label)
-                    country_order.append(label)
-            if product not in seen_products:
-                seen_products.add(product)
-                product_order.append(product)
-            key = (row_year, reporter, partner, product)
-            cells[key] = cells.get(key, 0.0) + value
+            problems.append((reader.line_num, problem))
 
     if problems:
         preview = "; ".join(f"line {ln}: {msg}" for ln, msg in problems[:5])
-        raise SchemaError(
-            f"{len(problems)} bad row(s): {preview}", rows=problems
-        )
-    if not cells:
+        raise SchemaError(f"{len(problems)} bad row(s): {preview}", rows=problems)
+    if not kept:
         raise SchemaError("no data rows" + (f" for year {year}" if year else ""))
 
-    years = sorted({key[0] for key in cells})
-    country_index = {c: i for i, c in enumerate(country_order)}
-    product_index = {p: i for i, p in enumerate(product_order)}
-    tensors = {}
-    for y in years:
-        flow = np.zeros(
-            (len(country_order), len(country_order), len(product_order))
-        )
-        for (row_year, reporter, partner, product), value in cells.items():
-            if row_year != y:
-                continue
-            flow[
-                country_index[reporter], country_index[partner], product_index[product]
-            ] = value
-        tensors[y] = TradeFlowTensor(
-            countries=tuple(country_order), goods=tuple(product_order), flow=flow
-        )
-    return tensors
+    row_years, reporters, partners, row_products, values = zip(*kept)
+    countries = tuple(countries or dict.fromkeys(chain.from_iterable(zip(reporters, partners))))
+    products = tuple(products or dict.fromkeys(row_products))
+    years = sorted(set(row_years))
+    # One array for all years. np.add.at adds unbuffered in row order, so
+    # duplicate rows sum exactly as a running total per cell would.
+    flow = np.zeros((len(years), len(countries), len(countries), len(products)))
+    np.add.at(flow, (_positions(row_years, years), _positions(reporters, countries),
+                     _positions(partners, countries), _positions(row_products, products)),
+              values)
+    return {y: TradeFlowTensor(countries=countries, goods=products, flow=flow[t])
+            for t, y in enumerate(years)}

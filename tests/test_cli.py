@@ -45,6 +45,14 @@ class TestIngest:
         csv_path = write_csv(tmp_path, "")
         assert run("ingest", "--input", csv_path, "--out", tmp_path / "o") == EXIT_INPUT
 
+    def test_repeated_country_label_is_input_error(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path)
+        out = tmp_path / "out"
+        code = run("ingest", "--input", csv_path, "--out", out, "--countries", "a,a,b")
+        assert code == EXIT_INPUT
+        assert "countries list names 'a' twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthetic_many_country_ingest(self, tmp_path):
         rng = np.random.default_rng(3)
         lines = ["year,reporter,partner,product,value"]

@@ -19,24 +19,27 @@ def _private(name):
 
 def private_reaches(source):
     """``(line, name)`` of every private name that ``source`` imports from a
-    sibling module or reads as ``<sibling module>._name``."""
+    sibling module or reads as ``<expr>._name``, unless ``<expr>`` is ``self``
+    or ``cls`` or ``source`` binds ``_name`` itself."""
     tree = ast.parse(source)
-    siblings = set()  # local names bound to sibling modules
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id if isinstance(node, ast.Name) else node.attr)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
             node.level > 0 or (node.module or "").split(".")[0] == "tradequil"
         ):
-            for alias in node.names:
-                if alias.name in MODULES:
-                    siblings.add(alias.asname or alias.name)
-                elif _private(alias.name):
-                    found.append((node.lineno, alias.name))
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in siblings and _private(node.attr)):
-            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
-    return found
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name not in MODULES and _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and _private(node.attr)
+              and node.attr not in bound
+              and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -46,6 +49,11 @@ def private_reaches(source):
      [(2, "c._with_row_sums")]),
     ("from ._numerics import BASE_TOL\nfrom . import cone_geometry\n"
      "cone_geometry.max_margin(1, 2)", []),
+    ("from .trade_data import ShareReport\nShareReport._SECTIONS",
+     [(2, "ShareReport._SECTIONS")]),
+    ("def ranked(report):\n    return report._SECTIONS", [(2, "report._SECTIONS")]),
+    ("class A:\n    _n = 0\n\n    def f(self, other):\n        return self._m + other._n",
+     []),
 ])
 def test_checker_finds_private_reaches(source, expected):
     assert private_reaches(source) == expected

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,3 +276,166 @@ class TestCsv:
         tensors = read_flows_csv(path, year=2020)
         assert list(tensors) == [2020]
         assert tensors[2020].flow[0, 1, 0] == 5.0
+
+    def test_line_numbers_are_physical_after_a_multi_line_field(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "year,reporter,partner,product,value\n"
+            '2020,a,b,"g\nx",3\n'
+            "2020,a,b,g,oops\n",
+        )
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path)
+        assert err.value.rows == [(4, "bad value 'oops'")]
+
+    @pytest.mark.parametrize("keyword", ["countries", "products"])
+    def test_repeated_universe_label_is_schema_error(self, tmp_path, keyword):
+        path = self.write(tmp_path, "year,reporter,partner,product,value\n2020,a,b,g,3\n")
+        universe = {"countries": ["a", "b", "a"], "products": ["g", "h", "g"]}[keyword]
+        with pytest.raises(SchemaError, match=f"{keyword} list names '{universe[0]}' twice"):
+            read_flows_csv(path, **{keyword: universe})
+
+    def test_repeated_tensor_label_is_invalid_flow(self):
+        with pytest.raises(InvalidFlowError, match="'a' twice"):
+            tensor(("a", "a", "b"), ("g",), np.zeros((3, 3, 1)))
+        with pytest.raises(InvalidFlowError, match="'g' twice"):
+            tensor(("a", "b"), ("g", "g"), np.zeros((2, 2, 2)))
+
+    # Each row holds several problems; only the first, in the order the
+    # reader checks them, is reported. Universe: countries a, b; product g.
+    MULTI_PROBLEM_ROWS = [
+        ("2020,zz,zz", "expected 5 fields, got 3"),
+        ("x,zz,zz,qq,-1", "bad year 'x'"),
+        ("2020,zz,zz,qq,oops", "bad value 'oops'"),
+        ("2020,zz,zz,qq,-1", "negative or non-finite value -1.0"),
+        ("2020,zz,zz,qq,inf", "negative or non-finite value inf"),
+        ("2020,zz,yy,qq,3", "unknown country 'zz'"),
+        ("2020,a,yy,qq,3", "unknown country 'yy'"),
+        ("2020,a,a,qq,3", "unknown product 'qq'"),
+        ("2020,a,a,g,3", "self-flow for 'a'"),
+    ]
+
+    @pytest.mark.parametrize("row, problem", MULTI_PROBLEM_ROWS)
+    def test_row_reports_only_its_first_problem(self, tmp_path, row, problem):
+        path = self.write(tmp_path, f"year,reporter,partner,product,value\n2020,a,b,g,1\n{row}\n")
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path, countries=["a", "b"], products=["g"])
+        assert err.value.rows == [(3, problem)]
+
+    def test_problem_rows_listed_in_file_order(self, tmp_path):
+        rows = [row for row, _ in self.MULTI_PROBLEM_ROWS]
+        # Blank rows are skipped, and a row of another year is filtered out
+        # before its value is read.
+        rows[4:4] = [" , ,\t, , ", "2019,zz,zz,qq,oops", ",,"]
+        path = self.write(tmp_path, "year,reporter,partner,product,value\n"
+                          + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path, year=2020, countries=["a", "b"], products=["g"])
+        lines = [2, 3, 4, 5, 9, 10, 11, 12, 13]
+        assert err.value.rows == [
+            (line, problem) for line, (_, problem) in zip(lines, self.MULTI_PROBLEM_ROWS)
+        ]
+
+
+def reference_read(path, year=None, countries=None, products=None):
+    """Oracle for ``read_flows_csv``: per-row checks into a dict of running
+    cell totals, then one tensor per year. Returns the tensors, or the
+    ``(line, problem)`` rows of the schema error."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = list(csv.reader(handle))[1:]
+    problems, cells = [], {}
+    country_order = list(countries or [])
+    product_order = list(products or [])
+    for line, row in enumerate(records, start=2):
+        if all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 5:
+            problems.append((line, f"expected 5 fields, got {len(row)}"))
+            continue
+        raw_year, reporter, partner, product, raw_value = (cell.strip() for cell in row)
+        if year is not None and int(raw_year) != year:
+            continue
+        value = float(raw_value)
+        if countries is not None and reporter not in countries:
+            problems.append((line, f"unknown country {reporter!r}"))
+        elif countries is not None and partner not in countries:
+            problems.append((line, f"unknown country {partner!r}"))
+        elif products is not None and product not in products:
+            problems.append((line, f"unknown product {product!r}"))
+        else:
+            for label in (reporter, partner):
+                if label not in country_order:
+                    country_order.append(label)
+            if product not in product_order:
+                product_order.append(product)
+            key = (int(raw_year), reporter, partner, product)
+            cells[key] = cells.get(key, 0.0) + value
+    if problems or not cells:
+        return problems
+    tensors = {}
+    m, n = len(country_order), len(product_order)
+    for y in sorted({key[0] for key in cells}):
+        flow = np.zeros((m, m, n))
+        for (row_year, reporter, partner, product), value in cells.items():
+            if row_year == y:
+                flow[country_order.index(reporter), country_order.index(partner),
+                     product_order.index(product)] = value
+        tensors[y] = (tuple(country_order), tuple(product_order), flow.tobytes())
+    return tensors
+
+
+COUNTRIES, PRODUCTS, YEARS = ("a", "b", "c"), ("g", "h"), (2018, 2016, 2017)
+
+
+@st.composite
+def flow_csvs(draw):
+    """CSV text of valid, blank and repeated rows, with padded cells and
+    years out of order, plus ``read_flows_csv`` keyword arguments. A row
+    can fail only the universe checks, the only ones ``reference_read``
+    makes; the parametrized tests above cover the others."""
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = ["year,reporter,partner,product,value"]
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["repeat", "blank", "spaces", "commas"]))
+        if kind == "repeat" and len(lines) > 1:
+            lines.append(draw(st.sampled_from(lines[1:])))
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(pad))
+        elif kind == "commas":
+            lines.append(",".join(draw(pad) for _ in range(5)))
+        else:
+            reporter, partner = draw(st.permutations(COUNTRIES))[:2]
+            value = draw(st.floats(0, 1e6) | st.sampled_from([0.0, -0.0, 0.1, 0.2, 1e-300]))
+            cells = (draw(st.sampled_from(YEARS)), reporter, partner,
+                     draw(st.sampled_from(PRODUCTS)), value)
+            lines.append(",".join(draw(pad) + str(cell) + draw(pad) for cell in cells))
+    kwargs = {
+        "year": draw(st.none() | st.sampled_from(YEARS)),
+        # Universes may hold an unused label, and may lack a used one.
+        "countries": draw(st.none() | st.lists(st.sampled_from(COUNTRIES + ("d",)),
+                                              min_size=2, max_size=4, unique=True)),
+        "products": draw(st.none() | st.lists(st.sampled_from(PRODUCTS + ("k",)),
+                                             min_size=1, max_size=3, unique=True)),
+    }
+    return "\n".join(lines) + "\n", kwargs
+
+
+@given(flow_csvs())
+@settings(max_examples=150, deadline=None)
+def test_reader_matches_reference(tmp_path_factory, case):
+    text, kwargs = case
+    path = tmp_path_factory.mktemp("csv") / "flows.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = reference_read(path, **kwargs)
+    if isinstance(expected, list):
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path, **kwargs)
+        assert err.value.rows == expected
+        return
+    tensors = read_flows_csv(path, **kwargs)
+    assert list(tensors) == list(expected)
+    for y, (countries, goods, flow) in expected.items():
+        assert (tensors[y].countries, tensors[y].goods) == (countries, goods)
+        assert tensors[y].flow.tobytes() == flow
