@@ -17,7 +17,6 @@ import numpy as np
 
 from ._numerics import DEFAULT_TOL, DEFAULT_TOL_INNER
 from .equilibrium_solver import (
-    DEFAULT_DAMPING,
     EpsilonSchedule,
     EquilibriumSolution,
     excess_demand,
@@ -159,7 +158,6 @@ def cmd_solve(args) -> int:
         cm.C,
         cm.B,
         schedule=schedule,
-        damping=args.damping,
         tol=args.tol,
         tol_inner=args.tol_inner,
     )
@@ -225,7 +223,6 @@ def build_parser():
     solve.add_argument("--eps-start", type=float, default=defaults.start)
     solve.add_argument("--eps-ratio", type=float, default=defaults.ratio)
     solve.add_argument("--eps-steps", type=int, default=defaults.steps)
-    solve.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
     solve.add_argument("--tol-inner", type=float, default=DEFAULT_TOL_INNER)
     solve.add_argument("--year", type=int, default=None,

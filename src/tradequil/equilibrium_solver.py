@@ -4,9 +4,9 @@ The economy clears at prices ``p`` when, for every good ``k``,
 
     sum_i c_ki * <b_i, p> / <C_i, p>  <=  psi_k,
 
-with ``psi`` the aggregate supply. The solver iterates a regularized map
-on the price simplex for a decreasing sequence of regularization weights,
-warm-starting each stage from the previous one.
+with ``psi`` the aggregate supply. The solver iterates the regularized map
+``p <- G_eps(p)`` on the price simplex for a decreasing sequence of
+regularization weights, warm-starting each stage from the previous one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     PreconditionError,
 )
 
-DEFAULT_DAMPING = 0.5
 MAX_INNER_ITERATIONS = 200_000
 STALL_EVALUATIONS = 2000
 
@@ -234,8 +233,8 @@ def _residual(G, p):
     return float(np.maximum.reduce(np.abs(G(p) - p)))
 
 
-def _run_stage(G, p, theta, tol_stage, cap):
-    """Damped iteration at fixed epsilon, with safeguarded extrapolation.
+def _run_stage(G, p, tol_stage, cap):
+    """Plain iteration ``p <- G(p)`` at fixed epsilon, with safeguarded extrapolation.
 
     The merit function is the fixed-point residual max|G(p) - p|. Every 16
     steps the linear tail is extrapolated (vector Aitken); the jump is kept
@@ -248,13 +247,14 @@ def _run_stage(G, p, theta, tol_stage, cap):
     g = G(p)
     evals = 1
     d_prev = None
-    best_p, best_resid = p, float(peak(np.abs(g - p)))
+    best_p, best_resid = p, np.inf
     evals_at_best = evals
     extrapolate = True
     reverted = False
     it = 0
     while evals < cap:
-        resid = float(peak(np.abs(g - p)))
+        d = g - p  # G(p) is on the simplex already: d is the step and the residual
+        resid = float(peak(np.abs(d)))
         if resid <= tol_stage:
             return p, evals, "converged"
         if evals - evals_at_best > STALL_EVALUATIONS:
@@ -269,14 +269,11 @@ def _run_stage(G, p, theta, tol_stage, cap):
             g = G(p)
             evals += 1
             continue
-        p_new = (1 - theta) * p + theta * g
-        p_new = p_new / add(p_new)
-        d = p_new - p
         if extrapolate and d_prev is not None and it % 16 == 15:
             den = float(d_prev @ d_prev)
             rate = float(d @ d_prev) / den if den > 0 else 0.0
             if 0.0 < rate < 1.0:
-                cand = p_new + d * (rate / (1.0 - rate))
+                cand = g + d * (rate / (1.0 - rate))
                 if np.all(cand >= 0) and add(cand) > 0:
                     cand = cand / add(cand)
                     g_cand = G(cand)
@@ -285,7 +282,7 @@ def _run_stage(G, p, theta, tol_stage, cap):
                         p, g, d_prev = cand, g_cand, None
                         it += 1
                         continue
-        p, d_prev = p_new, d
+        p, d_prev = g, d
         g = G(p)
         evals += 1
         it += 1
@@ -336,15 +333,14 @@ def solve_fixed_point(
     C,
     B,
     schedule=None,
-    damping=DEFAULT_DAMPING,
     tol=DEFAULT_TOL,
     tol_inner=DEFAULT_TOL_INNER,
     max_inner=MAX_INNER_ITERATIONS,
 ) -> EquilibriumSolution:
     """Equilibrium prices via the regularized fixed-point map.
 
-    Iterates ``p <- (1-theta) p + theta G_eps(p)`` on the simplex for each
-    epsilon of ``schedule``, an :class:`EpsilonSchedule` (by default
+    Iterates ``p <- G_eps(p)`` on the simplex for each epsilon of
+    ``schedule``, an :class:`EpsilonSchedule` (by default
     ``EpsilonSchedule()``), warm-starting every stage.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning) and positive
@@ -377,8 +373,6 @@ def solve_fixed_point(
                 "demand matrix needs positive row and column sums",
                 condition="positive_demand_sums",
             )
-    if not 0 < damping <= 1:
-        raise ValueError("damping must lie in (0, 1]")
     epsilons = (schedule or EpsilonSchedule()).values()
     if not (tol > 0 and tol_inner > 0):
         raise ValueError("tolerances tol and tol_inner must be positive")
@@ -390,11 +384,11 @@ def solve_fixed_point(
         is_last = m == len(epsilons) - 1
         tol_stage = tol_inner if is_last else max(tol_inner, epsilon * 1e-2)
         G = _stage_map(C, B, psi, epsilon)
-        p, used, stage_exit = _run_stage(G, p, damping, tol_stage, max_inner)
+        p, used, stage_exit = _run_stage(G, p, tol_stage, max_inner)
         iterations += used
         if stage_exit != "converged":
             # Root-find the stage fixed point directly, then verify it; the
-            # damped orbit can stall when the map is barely contractive.
+            # orbit can stall when the map is barely contractive.
             p_root, used_root = _newton_stage(G, p, tol_stage)
             iterations += used_root
             if p_root is None:

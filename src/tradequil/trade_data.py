@@ -326,7 +326,7 @@ def read_flows_csv(path, year=None, countries=None, products=None):
         preview = "; ".join(f"line {ln}: {msg}" for ln, msg in problems[:5])
         raise SchemaError(f"{len(problems)} bad row(s): {preview}", rows=problems)
     if not kept:
-        raise SchemaError("no data rows" + (f" for year {year}" if year else ""))
+        raise SchemaError("no data rows" + (f" for year {year}" if year is not None else ""))
 
     row_years, reporters, partners, row_products, values = zip(*kept)
     countries = tuple(countries or dict.fromkeys(chain.from_iterable(zip(reporters, partners))))

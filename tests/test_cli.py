@@ -188,9 +188,7 @@ class TestSolve:
             r"violates the equilibrium inequalities by \S+ at good 2 \(1-based\), "
             r"0\.0098 of its aggregate supply", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--damping", "0"), ("--tol", "-1"), ("--eps-ratio", "1"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--eps-ratio", "1")])
     def test_invalid_settings_are_input_errors(self, tmp_path, capsys, flag, value):
         csv_path = write_csv(tmp_path)
         out = tmp_path / "out"

@@ -17,7 +17,12 @@ from tradequil import (
     solve_fixed_point,
 )
 from tradequil import consistency
-from tradequil.equilibrium_solver import MAX_INNER_ITERATIONS, _softmax, _stage_map
+from tradequil.equilibrium_solver import (
+    MAX_INNER_ITERATIONS,
+    _run_stage,
+    _softmax,
+    _stage_map,
+)
 
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
 SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -214,6 +219,30 @@ class TestSolveFixedPoint:
         w = (B.T @ p) / (C.T @ p + 5 * epsilon)
         f = (p * (C @ w) + epsilon * w.sum()) / psi
         np.testing.assert_array_equal(_stage_map(C, B, psi, epsilon)(p), f / f.sum())
+
+    @pytest.mark.parametrize("cap", [6, 11, 16])
+    def test_stage_iterates_the_plain_map(self, rng, cap):
+        # Extrapolation first runs at the 16th step, so up to then a stage
+        # is the orbit G(G(...G(p0))), bit for bit.
+        C = rng.uniform(1e6, 1e9, (5, 7))
+        B = rng.uniform(1e6, 1e9, (5, 7))
+        G = _stage_map(C, B, B.sum(axis=1), 1e-2)
+        p0 = np.full(5, 0.2)
+        orbit = [p0]
+        for _ in range(cap - 1):
+            orbit.append(G(orbit[-1]))
+        gaps = [np.abs(G(q) - q).max() for q in orbit]
+        assert gaps[-1] == min(gaps)  # so the stage keeps the last point
+        p, evals, stage_exit = _run_stage(G, p0, 0.0, cap)
+        np.testing.assert_array_equal(p, orbit[-1])
+        assert (evals, stage_exit) == (cap, "cap")
+
+    def test_map_evaluation_count(self, rng):
+        # Ten fixed random economies take 3,438 map evaluations in all; a
+        # step damped by 1/2 roughly doubles that.
+        total = sum(solve_fixed_point(*random_economy(rng)).iterations
+                    for _ in range(10))
+        assert total <= 4300
 
     @pytest.mark.parametrize("name", ["tol", "tol_inner"])
     def test_nonpositive_tolerance_rejected(self, name):

@@ -277,6 +277,13 @@ class TestCsv:
         assert list(tensors) == [2020]
         assert tensors[2020].flow[0, 1, 0] == 5.0
 
+    @pytest.mark.parametrize("year", [0, 1999])
+    def test_missing_year_is_named(self, tmp_path, year):
+        path = self.write(tmp_path, "year,reporter,partner,product,value\n"
+                                    "2020,a,b,g,3\n")
+        with pytest.raises(SchemaError, match=f"^no data rows for year {year}$"):
+            read_flows_csv(path, year=year)
+
     def test_line_numbers_are_physical_after_a_multi_line_field(self, tmp_path):
         path = self.write(
             tmp_path,
