@@ -233,23 +233,23 @@ def _residual(G, p):
     return float(np.maximum.reduce(np.abs(G(p) - p)))
 
 
-def _run_stage(G, p, tol_stage, cap):
+def _run_stage(G, p, tol_stage, cap, extrapolate=True):
     """Plain iteration ``p <- G(p)`` at fixed epsilon, with safeguarded extrapolation.
 
-    The merit function is the fixed-point residual max|G(p) - p|. Every 16
-    steps the linear tail is extrapolated (vector Aitken); the jump is kept
-    only when it strictly shrinks the residual, and the best point seen is
-    restored (once, disabling further jumps) if the orbit ever drifts far
-    above it. Deterministic; returns (p, map evaluations, exit), the exit being
-    "converged", "stalled" (no new best residual in ``STALL_EVALUATIONS``) or "cap".
+    The merit function is the fixed-point residual max|G(p) - p|. If
+    ``extrapolate``, every 16 steps the linear tail is extrapolated (vector
+    Aitken); the jump is kept only when it strictly shrinks the residual, and
+    the best point seen is restored (once, disabling further jumps) if the
+    orbit ever drifts far above it. Deterministic; returns (p, map evaluations,
+    exit), the exit being "converged", "stalled" (best residual not halved in
+    ``STALL_EVALUATIONS``) or "cap".
     """
     peak, add = np.maximum.reduce, np.add.reduce
     g = G(p)
     evals = 1
     d_prev = None
     best_p, best_resid = p, np.inf
-    evals_at_best = evals
-    extrapolate = True
+    halved_resid, evals_at_halving = np.inf, evals
     reverted = False
     it = 0
     while evals < cap:
@@ -257,12 +257,13 @@ def _run_stage(G, p, tol_stage, cap):
         resid = float(peak(np.abs(d)))
         if resid <= tol_stage:
             return p, evals, "converged"
-        if evals - evals_at_best > STALL_EVALUATIONS:
-            break  # stalled: no progress on the best residual; let the
-            # caller root-find the stage instead of burning the budget
+        if evals - evals_at_halving > STALL_EVALUATIONS:
+            break  # stalled: too slow a mode (or none) to finish the stage;
+            # let the caller root-find it instead of burning the budget
         if resid < best_resid:
             best_p, best_resid = p, resid
-            evals_at_best = evals
+            if resid <= 0.5 * halved_resid:
+                halved_resid, evals_at_halving = resid, evals
         elif not reverted and resid > 10.0 * best_resid:
             # The orbit drifted; restart from the best point without jumps.
             p, reverted, extrapolate, d_prev = best_p, True, False, None
@@ -341,7 +342,8 @@ def solve_fixed_point(
 
     Iterates ``p <- G_eps(p)`` on the simplex for each epsilon of
     ``schedule``, an :class:`EpsilonSchedule` (by default
-    ``EpsilonSchedule()``), warm-starting every stage.
+    ``EpsilonSchedule()``), warm-starting every stage. A solve that fails
+    is repeated once without extrapolation.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning) and positive
     aggregate supply for every good.
@@ -352,7 +354,6 @@ def solve_fixed_point(
         raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
     if np.any(C < 0) or np.any(B < 0):
         raise ValueError("C and B must be nonnegative")
-    n, l = C.shape
     psi = B.sum(axis=1)
     bad = np.where(psi <= 0)[0]
     if bad.size:
@@ -376,15 +377,24 @@ def solve_fixed_point(
     epsilons = (schedule or EpsilonSchedule()).values()
     if not (tol > 0 and tol_inner > 0):
         raise ValueError("tolerances tol and tol_inner must be positive")
+    try:
+        return _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, True, 0)
+    except NonConvergenceError as err:
+        # A jump can land a falling price near zero while its good is in excess
+        # demand; the price then climbs back by that small fraction per step,
+        # too little for the absolute residual to see. Retry without jumps.
+        return _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, False, err.iterations)
 
-    p = np.full(n, 1.0 / n)
-    iterations = 0
+
+def _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, extrapolate, iterations):
+    """Stages and checks of ``solve_fixed_point``, counting on from ``iterations``."""
+    p = np.full(C.shape[0], 1.0 / C.shape[0])
     last_epsilon = epsilons[-1]
     for m, epsilon in enumerate(epsilons):
         is_last = m == len(epsilons) - 1
         tol_stage = tol_inner if is_last else max(tol_inner, epsilon * 1e-2)
         G = _stage_map(C, B, psi, epsilon)
-        p, used, stage_exit = _run_stage(G, p, tol_stage, max_inner)
+        p, used, stage_exit = _run_stage(G, p, tol_stage, max_inner, extrapolate)
         iterations += used
         if stage_exit != "converged":
             # Root-find the stage fixed point directly, then verify it; the
@@ -393,8 +403,8 @@ def solve_fixed_point(
             iterations += used_root
             if p_root is None:
                 residual = _residual(G, p)
-                reason = (f"stalled after {used} map evaluations (no new best residual "
-                          f"in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
+                reason = (f"stalled after {used} map evaluations (best residual not "
+                          f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
                           f"hit the {max_inner}-evaluation cap after {used} map evaluations")
                 raise NonConvergenceError(
                     f"stage epsilon={epsilon:.3e} {reason}, and root finding "

@@ -27,6 +27,68 @@ from tradequil.equilibrium_solver import (
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
 SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
 
+# Two 6-good, 9-country cuts of G20-shaped trade flows, in dollars.
+# TURNING: near each stage's fixed point the orbit turns slowly, so the
+# residual keeps reaching new lows, about 18,000 steps a stage.
+# DIPPING: an Aitken jump lands good 1's price at 2e-7 while the good is in
+# excess demand; with jumps, the solve ends violating the inequalities there.
+TURNING_C = np.array([
+    [10024374209, 9345088293, 1080641814, 2464630271, 1909114902,
+     560893360271, 1300781166, 1212967510, 1188876514],
+    [45045075473, 148358364097, 7592326282, 13789782681, 4888369525,
+     27930804872, 799524180, 4044905428, 2741956714],
+    [14080182155, 51291719429, 1433561462, 1935741880, 1778998745,
+     35961728649, 293563434, 3931558561, 557557267],
+    [20139287896, 16359057572, 1608347685, 16864224140, 2401776113,
+     358953210135, 462023205, 910210974, 3577331504],
+    [7351105759, 73308956659, 15022204209, 10800515285, 234474389,
+     115919523806, 1784728307, 1970059357, 1867989470],
+    [9597557260, 416386273219, 11195819005, 49263135875, 15264384336,
+     205673294182, 5204149404, 7713925180, 3653747634],
+], dtype=float)
+TURNING_B = np.array([
+    [8789199320, 548138721612, 5371531407, 1454542129, 783168464,
+     8891596918, 376415964, 14795577627, 819081509],
+    [21190193365, 38444866057, 4638624163, 4316910763, 1594864970,
+     170946764072, 1967663752, 476513142, 11614708968],
+    [3769614132, 41166980226, 4700290569, 5924493283, 1193760321,
+     50777280774, 1624060473, 870279880, 1237851924],
+    [2753250017, 371190228466, 9483042332, 11057855368, 1344079628,
+     16821091416, 452033874, 3009269282, 5164618841],
+    [53282617853, 94058253851, 7975497893, 5308021846, 20778229518,
+     42496827495, 1043536232, 1601615822, 1714956731],
+    [18938704283, 232068450205, 1894720040, 7917279547, 1280896691,
+     438635350631, 7194998467, 14997383552, 1024502679],
+], dtype=float)
+DIPPING_C = np.array([
+    [4349003431, 48700264413, 1190957482, 36057601502, 7336060471,
+     1193784295, 2065574568, 479461502, 25230725990],
+    [8278473739, 16210557523, 3129197811, 24729928335, 2770639570,
+     359400667, 662861631, 327378238, 27068734120],
+    [20603289644, 53322227560, 736225010, 15098899527, 24183654258,
+     1278123290, 891525700, 380951731, 14062793997],
+    [3221722855, 3837365002, 139994582, 2145553520, 4582578413,
+     516876878, 545168462, 215540537, 23635466493],
+    [3073499699, 4571832327, 7741386054, 10118251887, 2337340975,
+     1806123842, 4748503410, 746829033, 45014787244],
+    [4436772292, 35897327762, 2313637776, 53412350619, 7431906598,
+     1821111013, 1097637567, 641932974, 30394155675],
+], dtype=float)
+DIPPING_B = np.array([
+    [7191158172, 5670013509, 1721608133, 46441311157, 2392456762,
+     483770414, 504947488, 755634261, 61442533758],
+    [14561387894, 11934097547, 2006280382, 17254018952, 2672583535,
+     753191602, 5727716333, 526680933, 28101214456],
+    [9229137300, 8580385737, 206616124, 12427690780, 4104348438,
+     2427471249, 465585574, 1636976268, 91479479247],
+    [2167355406, 15098285116, 32799514, 16259186074, 625559489,
+     564229042, 176322395, 968046571, 2948483135],
+    [4519761876, 29071892773, 784415642, 29101665399, 581058013,
+     1256903166, 244247384, 11437024462, 3161585756],
+    [57944937724, 11665357806, 2025772847, 33361343646, 9508885422,
+     1067620213, 7479734907, 2493360788, 11899818923],
+], dtype=float)
+
 
 class TestPriceVector:
     def test_simplex_validation(self):
@@ -220,10 +282,15 @@ class TestSolveFixedPoint:
         f = (p * (C @ w) + epsilon * w.sum()) / psi
         np.testing.assert_array_equal(_stage_map(C, B, psi, epsilon)(p), f / f.sum())
 
-    @pytest.mark.parametrize("cap", [6, 11, 16])
-    def test_stage_iterates_the_plain_map(self, rng, cap):
+    @pytest.mark.parametrize("cap, extrapolate", [
+        pytest.param(6, True, id="6"),
+        pytest.param(11, True, id="11"),
+        pytest.param(16, True, id="16"),
+        pytest.param(40, False, id="40-without-jumps"),
+    ])
+    def test_stage_iterates_the_plain_map(self, rng, cap, extrapolate):
         # Extrapolation first runs at the 16th step, so up to then a stage
-        # is the orbit G(G(...G(p0))), bit for bit.
+        # is the orbit G(G(...G(p0))), bit for bit; without jumps it stays so.
         C = rng.uniform(1e6, 1e9, (5, 7))
         B = rng.uniform(1e6, 1e9, (5, 7))
         G = _stage_map(C, B, B.sum(axis=1), 1e-2)
@@ -233,9 +300,23 @@ class TestSolveFixedPoint:
             orbit.append(G(orbit[-1]))
         gaps = [np.abs(G(q) - q).max() for q in orbit]
         assert gaps[-1] == min(gaps)  # so the stage keeps the last point
-        p, evals, stage_exit = _run_stage(G, p0, 0.0, cap)
+        p, evals, stage_exit = _run_stage(G, p0, 0.0, cap, extrapolate)
         np.testing.assert_array_equal(p, orbit[-1])
         assert (evals, stage_exit) == (cap, "cap")
+
+    def test_slowly_turning_orbit_is_root_found(self):
+        # A stage whose best residual has not halved in STALL_EVALUATIONS
+        # hands over to root finding: 3,872 map evaluations here, against
+        # 160,770 when every new low counted as progress.
+        solution = solve_fixed_point(TURNING_C, TURNING_B)
+        assert solution.clearing_set == (0, 1, 2, 4, 5)
+        assert solution.iterations <= 6000
+
+    def test_price_left_near_zero_by_a_jump_is_recovered(self):
+        # The failed solve is repeated without jumps, and that one clears.
+        solution = solve_fixed_point(DIPPING_C, DIPPING_B)
+        assert solution.clearing_set == (0, 1, 2, 4)
+        assert solution.p0.p[0] > 0.02
 
     def test_map_evaluation_count(self, rng):
         # Ten fixed random economies take 3,438 map evaluations in all; a
