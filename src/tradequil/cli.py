@@ -17,7 +17,6 @@ import numpy as np
 
 from ._numerics import DEFAULT_TOL, DEFAULT_TOL_INNER
 from .equilibrium_solver import (
-    EpsilonSchedule,
     EquilibriumSolution,
     excess_demand,
     solve_fixed_point,
@@ -148,19 +147,12 @@ def _write_outputs(out, cm, solution, report, scenario):
 
 
 def cmd_solve(args) -> int:
-    schedule = EpsilonSchedule(args.eps_start, args.eps_ratio, args.eps_steps)
     cm, scenario = _load_matrices(args.input)
     if args.year is not None and scenario != "unknown" and args.year != scenario:
         raise SchemaError(
             f"matrices file is for year {scenario}, not requested {args.year}"
         )
-    solution = solve_fixed_point(
-        cm.C,
-        cm.B,
-        schedule=schedule,
-        tol=args.tol,
-        tol_inner=args.tol_inner,
-    )
+    solution = solve_fixed_point(cm.C, cm.B, tol=args.tol, tol_inner=args.tol_inner)
     report = degeneracy_report(solution, cm.C, cm.B, tol=args.tol)
     text = _write_outputs(args.out, cm, solution, report, scenario)
     print(text)
@@ -219,10 +211,6 @@ def build_parser():
     solve = sub.add_parser("solve", help="matrices JSON -> solution + reports")
     solve.add_argument("--input", required=True, help="matrices JSON path")
     solve.add_argument("--out", required=True, help="output directory")
-    defaults = EpsilonSchedule()
-    solve.add_argument("--eps-start", type=float, default=defaults.start)
-    solve.add_argument("--eps-ratio", type=float, default=defaults.ratio)
-    solve.add_argument("--eps-steps", type=int, default=defaults.steps)
     solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
     solve.add_argument("--tol-inner", type=float, default=DEFAULT_TOL_INNER)
     solve.add_argument("--year", type=int, default=None,

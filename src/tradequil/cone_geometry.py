@@ -257,18 +257,12 @@ def generating_set(cone):
         kept.append(i)
     alive = kept
 
-    changed = True
-    while changed:
-        changed = False
-        for i in reversed(alive):
-            others = [j for j in alive if j != i]
-            if not others:
-                continue
-            member, _ = in_cone(v[others], v[i])
-            if member:
-                alive.remove(i)
-                changed = True
-                break
+    # Dropping a member only shrinks the cone of the others, so a member
+    # found irredundant stays irredundant and one pass suffices.
+    for i in alive[::-1]:
+        others = [j for j in alive if j != i]
+        if others and in_cone(v[others], v[i])[0]:
+            alive.remove(i)
     return tuple(alive)
 
 

@@ -32,6 +32,8 @@ from .errors import (
     PreconditionError,
 )
 
+# Regularization weights of the stages, 1e-2 * 4**-m, strictly decreasing.
+EPSILONS = tuple(1e-2 * 4.0 ** (-m) for m in range(13))
 MAX_INNER_ITERATIONS = 200_000
 STALL_EVALUATIONS = 2000
 
@@ -144,26 +146,6 @@ class EquilibriumSolution:
         )
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Strictly decreasing regularization weights start * ratio**-m."""
-
-    start: float = 1e-2
-    ratio: float = 4.0
-    steps: int = 13
-
-    def __post_init__(self):
-        if not (self.start > 0 and np.isfinite(self.start)):
-            raise ValueError("schedule start must be positive and finite")
-        if not self.ratio > 1:
-            raise ValueError("schedule ratio must exceed 1 (strictly decreasing)")
-        if self.steps < 1:
-            raise ValueError("schedule needs at least one step")
-
-    def values(self):
-        return [self.start * self.ratio ** (-m) for m in range(self.steps)]
-
-
 def demand_weights(C, B, p):
     """Per-agent income-to-demand-cost ratios <b_i,p>/<C_i,p>."""
     cost = C.T @ p
@@ -238,19 +220,16 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
 
     The merit function is the fixed-point residual max|G(p) - p|. If
     ``extrapolate``, every 16 steps the linear tail is extrapolated (vector
-    Aitken); the jump is kept only when it strictly shrinks the residual, and
-    the best point seen is restored (once, disabling further jumps) if the
-    orbit ever drifts far above it. Deterministic; returns (p, map evaluations,
-    exit), the exit being "converged", "stalled" (best residual not halved in
-    ``STALL_EVALUATIONS``) or "cap".
+    Aitken); the jump is kept only when it shrinks the residual below 0.9 of
+    the current one. Deterministic; returns (p, map evaluations, exit), ``p``
+    being the stage's last point and the exit "converged", "stalled"
+    (residual not halved in ``STALL_EVALUATIONS``) or "cap".
     """
     peak, add = np.maximum.reduce, np.add.reduce
     g = G(p)
     evals = 1
     d_prev = None
-    best_p, best_resid = p, np.inf
     halved_resid, evals_at_halving = np.inf, evals
-    reverted = False
     it = 0
     while evals < cap:
         d = g - p  # G(p) is on the simplex already: d is the step and the residual
@@ -258,18 +237,11 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
         if resid <= tol_stage:
             return p, evals, "converged"
         if evals - evals_at_halving > STALL_EVALUATIONS:
-            break  # stalled: too slow a mode (or none) to finish the stage;
-            # let the caller root-find it instead of burning the budget
-        if resid < best_resid:
-            best_p, best_resid = p, resid
-            if resid <= 0.5 * halved_resid:
-                halved_resid, evals_at_halving = resid, evals
-        elif not reverted and resid > 10.0 * best_resid:
-            # The orbit drifted; restart from the best point without jumps.
-            p, reverted, extrapolate, d_prev = best_p, True, False, None
-            g = G(p)
-            evals += 1
-            continue
+            # Too slow a mode (or none) to finish the stage; let the caller
+            # root-find it instead of burning the budget.
+            return p, evals, "stalled"
+        if resid <= 0.5 * halved_resid:
+            halved_resid, evals_at_halving = resid, evals
         if extrapolate and d_prev is not None and it % 16 == 15:
             den = float(d_prev @ d_prev)
             rate = float(d @ d_prev) / den if den > 0 else 0.0
@@ -287,8 +259,7 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
         g = G(p)
         evals += 1
         it += 1
-    stage_exit = "cap" if evals >= cap else "stalled"
-    return best_p if best_resid < float(peak(np.abs(g - p))) else p, evals, stage_exit
+    return p, evals, "cap"
 
 
 def _softmax(v):
@@ -330,20 +301,16 @@ def _newton_stage(G, p, tol_stage):
     return None, int(result.nfev)
 
 
-def solve_fixed_point(
-    C,
-    B,
-    schedule=None,
-    tol=DEFAULT_TOL,
-    tol_inner=DEFAULT_TOL_INNER,
-    max_inner=MAX_INNER_ITERATIONS,
-) -> EquilibriumSolution:
+def solve_fixed_point(C, B, tol=DEFAULT_TOL,
+                      tol_inner=DEFAULT_TOL_INNER) -> EquilibriumSolution:
     """Equilibrium prices via the regularized fixed-point map.
 
     Iterates ``p <- G_eps(p)`` on the simplex for each epsilon of
-    ``schedule``, an :class:`EpsilonSchedule` (by default
-    ``EpsilonSchedule()``), warm-starting every stage. A solve that fails
-    is repeated once without extrapolation.
+    ``EPSILONS``, warm-starting every stage from the last point of the one
+    before; a stage that stalls or reaches ``MAX_INNER_ITERATIONS`` is
+    root-found instead. ``tol`` bounds each good's excess demand relative to
+    its supply and ``tol_inner`` the last stage's fixed-point residual. A
+    solve that fails is repeated once without extrapolation.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning) and positive
     aggregate supply for every good.
@@ -374,27 +341,25 @@ def solve_fixed_point(
                 "demand matrix needs positive row and column sums",
                 condition="positive_demand_sums",
             )
-    epsilons = (schedule or EpsilonSchedule()).values()
     if not (tol > 0 and tol_inner > 0):
         raise ValueError("tolerances tol and tol_inner must be positive")
     try:
-        return _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, True, 0)
+        return _solve(C, B, psi, tol, tol_inner, True, 0)
     except NonConvergenceError as err:
         # A jump can land a falling price near zero while its good is in excess
         # demand; the price then climbs back by that small fraction per step,
         # too little for the absolute residual to see. Retry without jumps.
-        return _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, False, err.iterations)
+        return _solve(C, B, psi, tol, tol_inner, False, err.iterations)
 
 
-def _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, extrapolate, iterations):
+def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
     """Stages and checks of ``solve_fixed_point``, counting on from ``iterations``."""
     p = np.full(C.shape[0], 1.0 / C.shape[0])
-    last_epsilon = epsilons[-1]
-    for m, epsilon in enumerate(epsilons):
-        is_last = m == len(epsilons) - 1
-        tol_stage = tol_inner if is_last else max(tol_inner, epsilon * 1e-2)
+    last_epsilon = EPSILONS[-1]
+    for epsilon in EPSILONS:
+        tol_stage = tol_inner if epsilon == last_epsilon else max(tol_inner, epsilon * 1e-2)
         G = _stage_map(C, B, psi, epsilon)
-        p, used, stage_exit = _run_stage(G, p, tol_stage, max_inner, extrapolate)
+        p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
         iterations += used
         if stage_exit != "converged":
             # Root-find the stage fixed point directly, then verify it; the
@@ -403,9 +368,10 @@ def _solve(C, B, psi, epsilons, tol, tol_inner, max_inner, extrapolate, iteratio
             iterations += used_root
             if p_root is None:
                 residual = _residual(G, p)
-                reason = (f"stalled after {used} map evaluations (best residual not "
+                reason = (f"stalled after {used} map evaluations (residual not "
                           f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
-                          f"hit the {max_inner}-evaluation cap after {used} map evaluations")
+                          f"hit the {MAX_INNER_ITERATIONS}-evaluation cap after {used} "
+                          "map evaluations")
                 raise NonConvergenceError(
                     f"stage epsilon={epsilon:.3e} {reason}, and root finding "
                     f"failed; residual {residual:.3e}",

@@ -180,15 +180,16 @@ class TestSolve:
         with pytest.warns(UserWarning):
             code = run(
                 "solve", "--input", out / "m.json", "--out", out / "run",
-                "--eps-steps", "1", "--eps-start", "1e-2", "--tol", "1e-9",
+                "--tol", "1e-10",
             )
         assert code == EXIT_NO_CONVERGENCE
-        # Good 2 (supply 1) is short by 0.0098 after the single stage.
+        # The last stage leaves good 2 (supply 1) short by 7.15e-10, more
+        # than the 1e-10 of its supply that the tolerance allows.
         assert re.search(
             r"violates the equilibrium inequalities by \S+ at good 2 \(1-based\), "
-            r"0\.0098 of its aggregate supply", capsys.readouterr().err)
+            r"7\.15e-10 of its aggregate supply", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--eps-ratio", "1")])
+    @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol-inner", "0")])
     def test_invalid_settings_are_input_errors(self, tmp_path, capsys, flag, value):
         csv_path = write_csv(tmp_path)
         out = tmp_path / "out"

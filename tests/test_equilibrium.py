@@ -4,7 +4,6 @@ import pytest
 from conftest import random_economy, random_ideal_triple
 from tradequil import (
     DivisionGuardError,
-    EpsilonSchedule,
     EquilibriumSolution,
     NonConvergenceError,
     PreconditionError,
@@ -16,10 +15,12 @@ from tradequil import (
     is_equilibrium,
     solve_fixed_point,
 )
-from tradequil import consistency
+from tradequil import consistency, equilibrium_solver
+from tradequil._numerics import DEFAULT_TOL, DEFAULT_TOL_INNER
 from tradequil.equilibrium_solver import (
     MAX_INNER_ITERATIONS,
     _run_stage,
+    _solve,
     _softmax,
     _stage_map,
 )
@@ -27,11 +28,18 @@ from tradequil.equilibrium_solver import (
 SWAP_C = np.array([[2.0, 1.0], [1.0, 2.0]])
 SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
 
-# Two 6-good, 9-country cuts of G20-shaped trade flows, in dollars.
+# Four 6-good, 9-country cuts of G20-shaped trade flows, in dollars.
 # TURNING: near each stage's fixed point the orbit turns slowly, so the
 # residual keeps reaching new lows, about 18,000 steps a stage.
 # DIPPING: an Aitken jump lands good 1's price at 2e-7 while the good is in
-# excess demand; with jumps, the solve ends violating the inequalities there.
+# excess demand; the later stages of the run with jumps lift it back to
+# 0.021, and the solve clears in 3,516 evaluations.
+# DRIFTING: in its seventh stage the orbit rises more than tenfold above its
+# lowest residual and must go on from where it is: restarting from the
+# lowest point without jumps stalls the stage, and the solve fails.
+# STALLING: the run with jumps ends violating the inequalities at good 1;
+# without jumps the eighth stage stalls, and root finding from the stage's
+# last point (not from its lowest-residual point) finds the equilibrium.
 TURNING_C = np.array([
     [10024374209, 9345088293, 1080641814, 2464630271, 1909114902,
      560893360271, 1300781166, 1212967510, 1188876514],
@@ -87,6 +95,64 @@ DIPPING_B = np.array([
      1256903166, 244247384, 11437024462, 3161585756],
     [57944937724, 11665357806, 2025772847, 33361343646, 9508885422,
      1067620213, 7479734907, 2493360788, 11899818923],
+], dtype=float)
+
+
+DRIFTING_C = np.array([
+    [6028410499, 13435464998, 2944079388, 7759389930, 8460019324,
+     9226404636, 780334311, 9508705932, 24479454554],
+    [3328210673, 2373464320, 165346357, 240260448, 875317980,
+     373605145, 197594530, 1807877565, 1179908228],
+    [2063967800, 6231862858, 2359237385, 5061790784, 1462145821,
+     1615320500, 228015745, 5610029978, 8388098199],
+    [28988551575, 70258888176, 6980220221, 16215749397, 39041172882,
+     14127248993, 2208209872, 30833520058, 39733651902],
+    [2195469956, 3654910916, 991229006, 2782296195, 1616659892,
+     3933163477, 486607750, 3149042953, 20251144762],
+    [5252588458, 9103625271, 1570518467, 1589349041, 6295797003,
+     2668387330, 92834989, 4567376765, 4143876439],
+], dtype=float)
+DRIFTING_B = np.array([
+    [2202251624, 27490863541, 3864625905, 5452387599, 5361916754,
+     6957758871, 2332053065, 10516713310, 18443692903],
+    [1613399258, 3599120390, 63602181, 1757999789, 1169495879,
+     102522069, 18649569, 780764371, 1436031740],
+    [2439567519, 19434861713, 1615453091, 2398735216, 826030224,
+     905931208, 63618808, 2057633086, 3278638205],
+    [26610732340, 52131937080, 63754310142, 11133013097, 15339974848,
+     6304199159, 1054966916, 44400275833, 27657803661],
+    [4976236229, 9103246535, 3380843884, 4596010292, 2257538324,
+     5971547629, 2581437084, 4615186923, 1578478007],
+    [3532220081, 6825897877, 1465549326, 316052764, 8894895525,
+     2530177182, 494165449, 5894411489, 5330984070],
+], dtype=float)
+STALLING_C = np.array([
+    [18782448034, 2237222586, 4099413514, 11617501216, 8832895932,
+     6202563070, 16386002169, 45600359926, 35632815449],
+    [16927552447, 795010093, 636928646, 1913592649, 771882068,
+     2628571254, 75534858622, 10153919310, 2482040283],
+    [32567722797, 1604259962, 10829179430, 15785674013, 3944183181,
+     12238346938, 34388911917, 18474602765, 12894627408],
+    [155342288682, 21967422096, 7105489520, 19550674009, 13869727034,
+     6307470254, 336085886617, 109228688012, 31124205463],
+    [11649347388, 234824920, 374530217, 557327410, 235005603,
+     594406787, 1329977415, 34696360528, 1489696583],
+    [83103713638, 5706834355, 17102428265, 93559220767, 13287863047,
+     44091317821, 156921735845, 341054595346, 36898506777],
+], dtype=float)
+STALLING_B = np.array([
+    [37158636767, 1330414526, 4957491211, 12371099124, 1384847952,
+     2413595702, 12921450425, 75481604769, 1372081420],
+    [2872947304, 1344837650, 5376616232, 2472348908, 120773722,
+     153890200, 16545421850, 82383011999, 574507507],
+    [10532432520, 1142104567, 5318000633, 3494863977, 2283375455,
+     10123045672, 15431941847, 70146528135, 24255215605],
+    [4849416256, 164355909, 5047785656, 30705147581, 1273533730,
+     583523448, 89588854787, 560805691929, 7563542391],
+    [1883451693, 1049416494, 3488329605, 2739281717, 3994969292,
+     1321688594, 30242893409, 5510600404, 930845643],
+    [278586525293, 963665027, 4093212052, 17235570104, 6927582822,
+     4665747497, 217066212948, 247619276684, 14568423434],
 ], dtype=float)
 
 
@@ -232,13 +298,13 @@ class TestSolveFixedPoint:
         C = np.array([[1.0], [1.0]])
         B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError) as err:
-            solve_fixed_point(C, B, tol_inner=1e-30, max_inner=3000)
+            solve_fixed_point(C, B, tol_inner=1e-30)
         assert err.value.residual is not None
         assert err.value.epsilon is not None
 
     def test_stall_exit_is_reported_as_a_stall(self):
-        # The 1e-30 residual is out of reach, so the best residual stops
-        # improving and the stage leaves through its stall exit long before
+        # The 1e-30 residual is out of reach, so the residual stops
+        # halving and the stage leaves through its stall exit long before
         # the evaluation cap; the error must say so, not blame the cap.
         C = np.array([[1.0], [1.0]])
         B = np.array([[2.0], [1.0]])
@@ -248,16 +314,13 @@ class TestSolveFixedPoint:
         assert "cap" not in str(err.value)
         assert err.value.iterations < MAX_INNER_ITERATIONS
 
-    def test_cap_exit_is_reported_as_the_cap(self):
+    def test_cap_exit_is_reported_as_the_cap(self, monkeypatch):
+        monkeypatch.setattr(equilibrium_solver, "MAX_INNER_ITERATIONS", 50)
         C = np.array([[1.0], [1.0]])
         B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError,
                            match=r"hit the 50-evaluation cap after \d+ map evaluations"):
-            solve_fixed_point(C, B, tol_inner=1e-30, max_inner=50)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule(start=1e-2, ratio=0.5, steps=3)
+            solve_fixed_point(C, B, tol_inner=1e-30)
 
     def test_softmax_reports_overflow_instead_of_warning(self):
         # exp(-800) underflowing to zero is harmless (numpy's default ignores
@@ -298,14 +361,12 @@ class TestSolveFixedPoint:
         orbit = [p0]
         for _ in range(cap - 1):
             orbit.append(G(orbit[-1]))
-        gaps = [np.abs(G(q) - q).max() for q in orbit]
-        assert gaps[-1] == min(gaps)  # so the stage keeps the last point
         p, evals, stage_exit = _run_stage(G, p0, 0.0, cap, extrapolate)
         np.testing.assert_array_equal(p, orbit[-1])
         assert (evals, stage_exit) == (cap, "cap")
 
     def test_slowly_turning_orbit_is_root_found(self):
-        # A stage whose best residual has not halved in STALL_EVALUATIONS
+        # A stage whose residual has not halved in STALL_EVALUATIONS
         # hands over to root finding: 3,872 map evaluations here, against
         # 160,770 when every new low counted as progress.
         solution = solve_fixed_point(TURNING_C, TURNING_B)
@@ -313,10 +374,21 @@ class TestSolveFixedPoint:
         assert solution.iterations <= 6000
 
     def test_price_left_near_zero_by_a_jump_is_recovered(self):
-        # The failed solve is repeated without jumps, and that one clears.
         solution = solve_fixed_point(DIPPING_C, DIPPING_B)
         assert solution.clearing_set == (0, 1, 2, 4)
         assert solution.p0.p[0] > 0.02
+
+    def test_drifting_stage_goes_on_from_its_last_point(self):
+        # Solved by the run with jumps in 3,132 map evaluations.
+        solution = solve_fixed_point(DRIFTING_C, DRIFTING_B)
+        assert solution.clearing_set == (1, 3, 4, 5)
+
+    def test_failed_solve_is_repeated_without_jumps(self):
+        psi = STALLING_B.sum(axis=1)
+        with pytest.raises(NonConvergenceError, match="at good 1 "):
+            _solve(STALLING_C, STALLING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
+        solution = solve_fixed_point(STALLING_C, STALLING_B)
+        assert solution.clearing_set == (0, 1, 2, 3, 4, 5)
 
     def test_map_evaluation_count(self, rng):
         # Ten fixed random economies take 3,438 map evaluations in all; a
