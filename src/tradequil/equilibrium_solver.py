@@ -195,17 +195,18 @@ def _stage_map(C, B, psi, epsilon):
         w_i = <b_i, p> / (<C_i, p> + n*eps),
         G(p) ~ (p * (C @ w) + eps * sum(w)) / psi,  normalized to sum 1.
 
-    The transposes and ``n*eps`` are bound once per stage; the solver spends
-    most of its time here, so the loop calls the reductions directly.
+    The bound products and ``n*eps`` are made once per stage; the solver
+    spends most of its time here, so the loop calls ``dot`` and the
+    reductions directly.
     """
-    CT, BT = C.T, B.T
+    Cdot, CTdot, BTdot = C.dot, C.T.dot, B.T.dot
     shift = C.shape[0] * epsilon
     add = np.add.reduce
 
     def stage_map(p):
-        w = (BT @ p) / (CT @ p + shift)
-        f = (p * (C @ w) + epsilon * add(w)) / psi
-        return f / add(f)
+        w = BTdot(p) / (CTdot(p) + shift)
+        f = (p * Cdot(w) + epsilon * add(w, 0)) / psi
+        return f / add(f, 0)
 
     return stage_map
 
@@ -225,7 +226,7 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
     being the stage's last point and the exit "converged", "stalled"
     (residual not halved in ``STALL_EVALUATIONS``) or "cap".
     """
-    peak, add = np.maximum.reduce, np.add.reduce
+    peak, add, absolute = np.maximum.reduce, np.add.reduce, np.abs
     g = G(p)
     evals = 1
     d_prev = None
@@ -233,7 +234,7 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
     it = 0
     while evals < cap:
         d = g - p  # G(p) is on the simplex already: d is the step and the residual
-        resid = float(peak(np.abs(d)))
+        resid = float(peak(absolute(d)))
         if resid <= tol_stage:
             return p, evals, "converged"
         if evals - evals_at_halving > STALL_EVALUATIONS:
@@ -251,7 +252,7 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
                     cand = cand / add(cand)
                     g_cand = G(cand)
                     evals += 1
-                    if float(peak(np.abs(g_cand - cand))) < 0.9 * resid:
+                    if float(peak(absolute(g_cand - cand))) < 0.9 * resid:
                         p, g, d_prev = cand, g_cand, None
                         it += 1
                         continue
