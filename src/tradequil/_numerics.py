@@ -4,7 +4,7 @@ and the package's only entry points into scipy.
 Every scipy routine the package calls goes through a function here that
 imports it on its first call. Importing ``scipy.optimize`` takes most of the
 start-up time of the CLI, yet ``ingest``, ``shares`` and ``report`` never
-call scipy, and ``solve`` calls it only in the Newton fallback; loaded
+call scipy, and ``solve`` calls it only in the root-finding fallback; loaded
 lazily, scipy is paid for only by the calls that use it. Callers bind these
 names at module level (``from ._numerics import linprog``), so tests and
 tracing can rebind them per module.

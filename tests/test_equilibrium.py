@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,13 +32,13 @@ SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
 
 # Four 6-good, 9-country cuts of G20-shaped trade flows, in dollars.
 # TURNING: near each stage's fixed point the orbit turns slowly, so the
-# residual keeps reaching new lows, about 18,000 steps a stage.
-# DIPPING: an Aitken jump lands good 1's price at 2e-7 while the good is in
-# excess demand; the later stages of the run with jumps lift it back to
-# 0.021, and the solve clears in 3,516 evaluations.
-# DRIFTING: in its seventh stage the orbit rises more than tenfold above its
-# lowest residual and must go on from where it is: restarting from the
-# lowest point without jumps stalls the stage, and the solve fails.
+# residual keeps reaching new lows, about 18,000 steps a stage; Newton jumps
+# finish it in 611 evaluations.
+# DIPPING: a vector-Aitken jump once landed good 1's price at 2e-7 while the
+# good was in excess demand; the run with Newton jumps keeps it above 0.005
+# and clears in 2,420 evaluations.
+# DRIFTING: with Aitken jumps, the seventh stage's orbit rose more than
+# tenfold above its lowest residual and had to go on from where it was.
 # STALLING: the run with jumps ends violating the inequalities at good 1;
 # without jumps the eighth stage stalls, and root finding from the stage's
 # last point (not from its lowest-residual point) finds the equilibrium.
@@ -153,6 +155,127 @@ STALLING_B = np.array([
      1321688594, 30242893409, 5510600404, 930845643],
     [278586525293, 963665027, 4093212052, 17235570104, 6927582822,
      4665747497, 217066212948, 247619276684, 14568423434],
+], dtype=float)
+
+
+# A 14-good, 20-country G20-shaped economy, in dollars: with vector-Aitken
+# jumps the stage at eps 1.526e-7 crept, its residual not halving in 2,000
+# evaluations, and root finding failed from its last point (residual 8.9e-9).
+CREEPING_C = np.array([
+    [44308544315, 7335428151, 111955731593, 61887582050, 20692860475,
+     35762879640, 371737324855, 9074410944, 2059997910, 28250944038,
+     19933338839, 13567662616, 28242499047, 2054804462, 34801780018,
+     128505636407, 463879195740, 111995310194, 47482227301, 11776467024],
+    [31457770107, 8748400893, 27758887389, 33772820110, 33098274099,
+     9490819407, 135105527047, 5056976064, 266476504, 17451434820, 14296944071,
+     23761864388, 8100611556, 766393344, 29005458981, 16750359819,
+     231253018555, 32848376933, 22993939716, 8161318601],
+    [7489991865, 23735792260, 13060868055, 41629818683, 11863705200,
+     49044316746, 321319952799, 3234104892, 3920952540, 59923430159,
+     53231721647, 29397706535, 38432757729, 640105285, 45029518689,
+     32228522459, 157282985489, 49143120130, 200944076971, 33113109750],
+    [11727509710, 2007531587, 7997577435, 4559925833, 30646945041, 18931899951,
+     118146111753, 2306409392, 165128778, 18339703483, 12680391776,
+     16297106623, 9995388566, 100588822, 36061811000, 18671953874, 67138439629,
+     30998082590, 31688710056, 6534369697],
+    [3031557413, 1937567001, 3098817119, 1987587906, 25663174406, 20348172183,
+     171032755112, 5832801796, 418774463, 19799365704, 3210064098, 25725975002,
+     588314270, 85810555, 12358777974, 18258940730, 206258721561, 62095175295,
+     11056955258, 6433256544],
+    [17540604789, 15668028952, 112022056341, 34229093599, 13261003875,
+     84480788812, 823723036274, 9932952927, 684648674, 18080110613,
+     17609171923, 257739203874, 35409166658, 2873585394, 97389028335,
+     138768026352, 320574494061, 96794720737, 213550642554, 1865482553],
+    [18725307826, 2319330389, 14607983481, 37015998913, 20398043040,
+     3320944270, 149595290567, 6322861568, 1458543522, 14325270543,
+     38071890167, 97958747871, 14032539089, 500447454, 30914899009,
+     74594493958, 169137205299, 40639494303, 99851790946, 15656004537],
+    [26540746101, 2703322931, 11507326528, 2718696334, 9720155292, 19512279739,
+     27801549781, 11163138031, 493120002, 10593796705, 10552828007,
+     24993749917, 4047270012, 306695323, 15220961340, 52010596755, 87525295596,
+     9658304027, 134857595699, 24689470577],
+    [2547292161, 711341271, 1261686622, 4979078595, 6206296233, 1024004895,
+     4373293103, 1589324685, 66655693, 4543868619, 1795796701, 6821482462,
+     1820086522, 34324288, 4277690783, 3552109008, 4376798358, 3958234284,
+     7396810369, 6186916713],
+    [12842898190, 1190129439, 17361830089, 25075314968, 17135121435,
+     16922192734, 50486750625, 9365780074, 346430615, 28238177848, 8260223058,
+     11758293106, 32515233645, 385717992, 11805621125, 45977944339,
+     81690637938, 39457581808, 152618390570, 10224328490],
+    [18022535446, 10200620039, 69804965083, 49766679059, 35127818129,
+     9609449917, 50429222579, 9979878348, 1449499047, 24824875677, 15750802497,
+     39903856726, 14300013555, 694759993, 91155261655, 72221127996,
+     162397150826, 35340008478, 41812051458, 4453799383],
+    [29784184769, 1801712284, 14614312465, 2366331967, 6824938121, 20667241142,
+     24511835653, 2469542433, 678658948, 11815185687, 14314262990, 7581190225,
+     9572355561, 103144696, 5932457942, 11379186446, 62960659382, 25124491665,
+     30517918686, 6298201639],
+    [9552967844, 1576768703, 16886063748, 17940720731, 6851202159, 14376339486,
+     81781884920, 2719354767, 585488599, 29705194526, 6594861019, 5278740510,
+     12044707778, 510670965, 53449173741, 5189667822, 155583427494, 6402402102,
+     88049973819, 4103604959],
+    [39082204511, 14495841856, 85628948969, 66756982372, 217435386388,
+     19574055818, 420741843155, 41322693385, 1837234689, 172930193705,
+     27044190625, 277294586200, 50276813040, 587701035, 122992229524,
+     36829123281, 298684314541, 47241085103, 68208008967, 13899336300],
+], dtype=float)
+CREEPING_B = np.array([
+    [18222942079, 3453924866, 11291192837, 22612165096, 165771097924,
+     24535707885, 45755728766, 4366539407, 1956161648, 15084572709,
+     42832926648, 123694829236, 16626407414, 131701146, 116058612065,
+     37685171370, 167607856212, 60787729809, 618574260054, 58255098448],
+    [11531397314, 7276727625, 3757546775, 11117938003, 87485087128,
+     16387216093, 53247709353, 7181422446, 642968919, 79704477273, 3010902366,
+     12830036086, 4082241341, 290144359, 178801826708, 18602564890,
+     163616329403, 13666348479, 10017081213, 6895706630],
+    [13768789554, 8585756265, 17889657787, 17481590262, 101689259983,
+     12887492102, 75549791523, 8586241255, 101837268, 15248246105, 9133753096,
+     9449150091, 2883471633, 1729848469, 74551330421, 65508683421,
+     201886030982, 417532492781, 118163970173, 2039164712],
+    [5754236207, 4369032716, 18880050463, 11546398376, 32685751481,
+     14254486937, 45578285904, 2672680035, 241353750, 16739491294, 6119428949,
+     29539530482, 5278860707, 156731550, 51516025255, 25451048054, 74376396021,
+     10148833205, 85449394186, 4237570024],
+    [11179010797, 578162587, 12846225097, 6219742532, 19175335537, 13777807512,
+     79307704598, 1658908574, 924930137, 11686524271, 2602900436, 23845786321,
+     89852409154, 280994399, 40795171412, 41870792357, 27257311187,
+     156461576248, 56391585074, 2509686160],
+    [64100241619, 48309684109, 51206699929, 24596673291, 178199063746,
+     21826514885, 45262733848, 4032424272, 24732310629, 25205039105,
+     193510995363, 104406392439, 28841923306, 773619606, 70327177785,
+     161362094543, 830653089588, 207633466019, 219063622066, 8152081149],
+    [3185159467, 4052377867, 73731873019, 56190389339, 119421558063,
+     50680270024, 176968037095, 1342778734, 341038125, 8507349710, 21764481271,
+     49149681918, 5014630608, 236605329, 13399344519, 77692869114, 15076136159,
+     83746049927, 85853390185, 3093066279],
+    [10134264310, 219405186, 1700091242, 13097303019, 10559701361, 8277718004,
+     24683403301, 5411155023, 87477436, 18124457625, 9739121755, 6867359589,
+     1518088056, 1033796495, 50925844997, 32104717662, 256159427718,
+     10127466977, 23063234749, 2782864192],
+    [833873426, 177173611, 3401856182, 365655873, 2272614459, 765989264,
+     16179715663, 536086438, 11330187, 603202910, 363281924, 794769759,
+     621983243, 82301170, 9274716608, 3588524930, 20525651423, 6372217095,
+     561594546, 190552654],
+    [46600567888, 4143630273, 14981000545, 31596617371, 52401432195,
+     65937783575, 91488325354, 6345996332, 994407075, 4922656123, 61998404871,
+     15878422738, 9300154566, 1145934909, 11364401453, 26374469869,
+     60436267927, 21747023482, 35742399803, 10258701739],
+    [6276191395, 3026128071, 13684640010, 12870786356, 5366996148, 8808749826,
+     208375572304, 852219569, 860319955, 2542992803, 12133458965, 6427068159,
+     3648302822, 153887118, 12007666857, 6959993760, 64365910910, 9417707089,
+     373872417895, 5593365879],
+    [4786823781, 3790463860, 5387261907, 4131196756, 21945476313, 45723914504,
+     22297295865, 3343357269, 152636658, 11478226275, 5989420118, 1225077816,
+     1936752619, 60141801, 11189760435, 53273366321, 10702831731, 31321281400,
+     41906561464, 8675965808],
+    [1492802910, 17678572028, 14578886569, 31957010038, 34354006970,
+     18439319637, 7266219250, 1035936439, 239016492, 18935097017, 19045319954,
+     19173763305, 7735108913, 154367389, 9125654740, 96571852616, 59627582271,
+     52363090530, 98571720163, 10837888461],
+    [102010569548, 23183357470, 6883873039, 4653951375, 321157494733,
+     40466721771, 689394650512, 1989742466, 593557974, 6707775581, 61040347374,
+     56150696998, 17157818580, 262795841, 47995781537, 179129083776,
+     84331757607, 30446651256, 337520432891, 11785713135],
 ], dtype=float)
 
 
@@ -345,6 +468,19 @@ class TestSolveFixedPoint:
         f = (p * (C @ w) + epsilon * w.sum()) / psi
         np.testing.assert_array_equal(_stage_map(C, B, psi, epsilon)(p), f / f.sum())
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9], ids=["unit", "dollars"])
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-6, 0.0])
+    def test_stage_jacobian_matches_central_differences(self, rng, epsilon, scale):
+        C = rng.uniform(0.1, 1.0, (5, 7)) * scale
+        B = rng.uniform(0.1, 1.0, (5, 7)) * scale
+        G = _stage_map(C, B, B.sum(axis=1), epsilon)
+        p = rng.dirichlet(np.ones(5))
+        h = 1e-6
+        numeric = np.column_stack([(G(p + h * e) - G(p - h * e)) / (2 * h)
+                                   for e in np.eye(5)])
+        error = np.abs(G.jacobian(p) - numeric).max() / np.abs(numeric).max()
+        assert error <= 1e-6
+
     @pytest.mark.parametrize("cap, extrapolate", [
         pytest.param(6, True, id="6"),
         pytest.param(11, True, id="11"),
@@ -352,8 +488,9 @@ class TestSolveFixedPoint:
         pytest.param(40, False, id="40-without-jumps"),
     ])
     def test_stage_iterates_the_plain_map(self, rng, cap, extrapolate):
-        # Extrapolation first runs at the 16th step, so up to then a stage
-        # is the orbit G(G(...G(p0))), bit for bit; without jumps it stays so.
+        # The first Newton jump is tried after the 16th map evaluation, so up
+        # to then a stage is the orbit G(G(...G(p0))), bit for bit; without
+        # jumps it stays so.
         C = rng.uniform(1e6, 1e9, (5, 7))
         B = rng.uniform(1e6, 1e9, (5, 7))
         G = _stage_map(C, B, B.sum(axis=1), 1e-2)
@@ -365,13 +502,45 @@ class TestSolveFixedPoint:
         np.testing.assert_array_equal(p, orbit[-1])
         assert (evals, stage_exit) == (cap, "cap")
 
-    def test_slowly_turning_orbit_is_root_found(self):
-        # A stage whose residual has not halved in STALL_EVALUATIONS
-        # hands over to root finding: 3,872 map evaluations here, against
-        # 160,770 when every new low counted as progress.
+    @pytest.mark.parametrize("jacobian", [
+        pytest.param(lambda p: np.eye(p.shape[0]), id="singular"),
+        pytest.param(lambda p: np.full((p.shape[0],) * 2, np.nan), id="nan"),
+    ])
+    def test_unusable_jacobian_leaves_the_plain_orbit(self, rng, jacobian):
+        # I - J singular, or a NaN step, rejects every jump before the map
+        # is evaluated at it, silently: the stage is the plain orbit. With
+        # the true Jacobian a jump is taken and the stage leaves the orbit.
+        C = rng.uniform(1e6, 1e9, (5, 7))
+        B = rng.uniform(1e6, 1e9, (5, 7))
+        G = _stage_map(C, B, B.sum(axis=1), 1e-2)
+        p0 = np.full(5, 0.2)
+        orbit = [p0]
+        for _ in range(39):
+            orbit.append(G(orbit[-1]))
+        assert not np.array_equal(_run_stage(G, p0, 0.0, 40)[0], orbit[-1])
+        G.jacobian = jacobian
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, evals, stage_exit = _run_stage(G, p0, 0.0, 40)
+        np.testing.assert_array_equal(p, orbit[-1])
+        assert (evals, stage_exit) == (40, "cap")
+
+    def test_slowly_turning_orbit_finishes_by_jumps(self, monkeypatch):
+        # Without jumps the orbit turns slowly near each stage's fixed point;
+        # Newton jumps finish every stage, with no root finding, in 611 map
+        # evaluations.
+        calls = []
+        monkeypatch.setattr(equilibrium_solver, "_newton_stage",
+                            lambda *args: calls.append(args))
         solution = solve_fixed_point(TURNING_C, TURNING_B)
         assert solution.clearing_set == (0, 1, 2, 4, 5)
-        assert solution.iterations <= 6000
+        assert solution.iterations <= 1000
+        assert calls == []
+
+    def test_creeping_stage_finishes_by_jumps(self):
+        solution = solve_fixed_point(CREEPING_C, CREEPING_B)
+        assert solution.clearing_set == (1, 3, 4, 7, 9, 10, 12)
+        assert solution.iterations <= 2000
 
     def test_price_left_near_zero_by_a_jump_is_recovered(self):
         solution = solve_fixed_point(DIPPING_C, DIPPING_B)
@@ -379,23 +548,35 @@ class TestSolveFixedPoint:
         assert solution.p0.p[0] > 0.02
 
     def test_drifting_stage_goes_on_from_its_last_point(self):
-        # Solved by the run with jumps in 3,132 map evaluations.
+        # Solved by the run with jumps in 3,617 map evaluations.
         solution = solve_fixed_point(DRIFTING_C, DRIFTING_B)
         assert solution.clearing_set == (1, 3, 4, 5)
 
-    def test_failed_solve_is_repeated_without_jumps(self):
+    def test_failed_solve_is_repeated_without_jumps(self, monkeypatch):
+        # The retry's eighth stage does not halve its residual in
+        # STALL_EVALUATIONS and hands over to root finding, which solves it.
+        found = []
+        real = equilibrium_solver._newton_stage
+
+        def recorded(*args):
+            q, used = real(*args)
+            found.append(q is not None)
+            return q, used
+
+        monkeypatch.setattr(equilibrium_solver, "_newton_stage", recorded)
         psi = STALLING_B.sum(axis=1)
         with pytest.raises(NonConvergenceError, match="at good 1 "):
             _solve(STALLING_C, STALLING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
+        assert found == []
         solution = solve_fixed_point(STALLING_C, STALLING_B)
         assert solution.clearing_set == (0, 1, 2, 3, 4, 5)
+        assert found == [True]
 
     def test_map_evaluation_count(self, rng):
-        # Ten fixed random economies take 3,438 map evaluations in all; a
-        # step damped by 1/2 roughly doubles that.
+        # Ten fixed random economies take 2,179 map evaluations in all.
         total = sum(solve_fixed_point(*random_economy(rng)).iterations
                     for _ in range(10))
-        assert total <= 4300
+        assert total <= 2700
 
     @pytest.mark.parametrize("name", ["tol", "tol_inner"])
     def test_nonpositive_tolerance_rejected(self, name):
