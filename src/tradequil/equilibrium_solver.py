@@ -10,7 +10,10 @@ regularization weights, warm-starting each stage from the previous one.
 In currency units the regularization hardly acts and the iteration
 converges at a rate near 1, so every 16 steps a stage tries a Newton jump
 from the map's exact Jacobian (C. T. Kelley, *Solving Nonlinear Equations
-with Newton's Method*, SIAM 2003, ch. 1-2).
+with Newton's Method*, SIAM 2003, ch. 1-2). Prices outside the clearing set
+fall toward zero, and a full Newton step would often make them negative;
+the jump is cut back to stay inside the simplex instead, as an
+interior-point method keeps its iterates interior.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ from .errors import (
 EPSILONS = tuple(1e-2 * 4.0 ** (-m) for m in range(13))
 MAX_INNER_ITERATIONS = 200_000
 STALL_EVALUATIONS = 2000
+# A Newton jump moves each falling price at most this fraction of the way to
+# zero (fraction to the boundary, Nocedal & Wright, Numerical Optimization,
+# 2nd ed., sec. 16.6).
+JUMP_TO_BOUNDARY = 0.9
+# A jump that cuts a price below this fraction of its old value is kept only
+# if that good's price still falls at the new point.
+JUMP_COLLAPSE = 0.5
 
 
 @dataclass(frozen=True)
@@ -244,15 +254,25 @@ def _residual(G, p):
 
 
 def _newton_jump(G, p, d):
-    """Newton step ``p + (I - J)^-1 d`` for ``d = G(p) - p``, on the simplex.
+    """Newton step ``p + alpha * (I - J)^-1 d`` for ``d = G(p) - p``, on the simplex.
 
-    None when ``I - J`` is singular or the step is not finite and strictly
-    positive; a NaN Jacobian gives a NaN step, which fails that test.
+    ``alpha`` is the largest step length up to 1 that moves no price more
+    than ``JUMP_TO_BOUNDARY`` of the way to zero. None when ``I - J`` is
+    singular, the step is not finite (a NaN Jacobian gives a NaN step) or
+    the point is not strictly positive, as when a zero price would fall.
     """
     try:
-        cand = p + np.linalg.solve(np.eye(p.shape[0]) - G.jacobian(p), d)
+        step = np.linalg.solve(np.eye(p.shape[0]) - G.jacobian(p), d)
     except np.linalg.LinAlgError:
         return None
+    if not np.all(np.isfinite(step)):
+        return None
+    # Only goods that the full step moves further than that bound the length,
+    # so the ratios stay below 1 / JUMP_TO_BOUNDARY and cannot overflow.
+    blocking = step < -JUMP_TO_BOUNDARY * p
+    alpha = min(1.0, JUMP_TO_BOUNDARY * float(np.min(p[blocking] / -step[blocking],
+                                                     initial=np.inf)))
+    cand = p + alpha * step
     if not np.all(cand > 0):
         return None
     total = cand.sum()
@@ -264,9 +284,12 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
 
     The merit function is the fixed-point residual max|G(p) - p|. If
     ``extrapolate``, every 16 steps a Newton jump from ``G.jacobian`` is
-    tried (``_newton_jump``); it is kept only when it shrinks the residual
-    below 0.9 of the current one. Deterministic; returns (p, map
-    evaluations, exit), ``p`` being the stage's last point and the exit
+    tried (``_newton_jump``, cut back to keep prices positive). It is kept
+    only when it shrinks the residual below 0.9 of the current one and every
+    good whose price it cut below ``JUMP_COLLAPSE`` of the old price is
+    still falling at the new point: the absolute residual cannot see a
+    collapsed price whose good is in excess demand. Deterministic; returns
+    (p, map evaluations, exit), ``p`` being the stage's last point and the exit
     "converged", "stalled" (residual not halved in ``STALL_EVALUATIONS``) or
     "cap".
     """
@@ -291,7 +314,8 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
             if cand is not None:
                 g_cand = G(cand)
                 evals += 1
-                if float(peak(absolute(g_cand - cand))) < 0.9 * resid:
+                if (float(peak(absolute(g_cand - cand))) < 0.9 * resid
+                        and not np.any((cand < JUMP_COLLAPSE * p) & (g_cand > cand))):
                     p, g = cand, g_cand
                     it += 1
                     continue

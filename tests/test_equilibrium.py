@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from tradequil import (
 from tradequil import consistency, equilibrium_solver
 from tradequil._numerics import DEFAULT_TOL, DEFAULT_TOL_INNER
 from tradequil.equilibrium_solver import (
+    JUMP_COLLAPSE,
+    JUMP_TO_BOUNDARY,
     MAX_INNER_ITERATIONS,
+    _newton_jump,
     _run_stage,
     _solve,
     _softmax,
@@ -33,15 +37,16 @@ SWAP_B = np.array([[1.0, 2.0], [2.0, 1.0]])
 # Four 6-good, 9-country cuts of G20-shaped trade flows, in dollars.
 # TURNING: near each stage's fixed point the orbit turns slowly, so the
 # residual keeps reaching new lows, about 18,000 steps a stage; Newton jumps
-# finish it in 611 evaluations.
+# finish it in 211 evaluations.
 # DIPPING: a vector-Aitken jump once landed good 1's price at 2e-7 while the
-# good was in excess demand; the run with Newton jumps keeps it above 0.005
-# and clears in 2,420 evaluations.
+# good was in excess demand; the run with Newton jumps clears in 157
+# evaluations with good 1 at 0.021.
 # DRIFTING: with Aitken jumps, the seventh stage's orbit rose more than
 # tenfold above its lowest residual and had to go on from where it was.
-# STALLING: the run with jumps ends violating the inequalities at good 1;
-# without jumps the eighth stage stalls, and root finding from the stage's
-# last point (not from its lowest-residual point) finds the equilibrium.
+# STALLING: with Newton jumps refused whenever a price would turn negative,
+# the run with jumps ended violating the inequalities at good 1, and the
+# retry without jumps needed root finding; jumps cut back to the price
+# boundary solve it in 1,931 evaluations.
 TURNING_C = np.array([
     [10024374209, 9345088293, 1080641814, 2464630271, 1909114902,
      560893360271, 1300781166, 1212967510, 1188876514],
@@ -278,6 +283,129 @@ CREEPING_B = np.array([
      84331757607, 30446651256, 337520432891, 11785713135],
 ], dtype=float)
 
+
+
+# A 14-good, 20-country G20-shaped economy, in dollars: the run with jumps
+# ends with good 12's price at 2e-10 while the good is in excess demand, a
+# violation of 0.06 % of its supply. Without jumps the sixth stage stalls,
+# and root finding from its last point finds the equilibrium, with good 12
+# at 3.9e-4.
+SINKING_C = np.array([
+    [6606652672, 6584788756, 366820522741, 47474734464, 41308091365,
+     9835038525, 16850329408, 79460404121, 376434833297, 20497223586,
+     47727309477, 18968895936, 36710944454, 6231679559, 23386822227,
+     28638010893, 3680807109, 18523742042, 15348707597, 8658547703],
+    [5449940385, 35668151205, 71967533858, 12735039136, 245631241090,
+     6871260356, 16942369921, 549624844084, 305184958509, 6876933790,
+     41961919261, 11490883180, 29754916129, 3540645952, 18402718284,
+     69068295867, 9510482297, 26228633379, 61522762522, 15033662401],
+    [35406823914, 6911279348, 331687117907, 25261243835, 296929233336,
+     2534095956, 7738793432, 149460723243, 120401815076, 7960321238,
+     107507096416, 74245533797, 43688303965, 7047924223, 35933940544,
+     74395855571, 21391823876, 13537595542, 42660521447, 15279647564],
+    [3931096133, 18411048693, 64826530884, 13719403903, 111760731958,
+     2696897685, 349676268, 12919532031, 87849796856, 597552157, 19342934408,
+     22320068752, 43895960645, 476764699, 5473352198, 28344043173, 5938350575,
+     8379504071, 1934951047, 14609813493],
+    [7101936316, 1402250233, 349614791477, 13533223139, 18135173945,
+     1148403284, 1584382641, 7617380817, 3548958710, 1710220353, 30341051121,
+     7739246346, 7458573592, 1917047672, 8064649618, 9618067728, 1507168005,
+     2812109092, 9160684671, 1612604232],
+    [6359045234, 12768651497, 514003465877, 21822782340, 165425204361,
+     6303110725, 4716805584, 55348042228, 60671084866, 5762743357, 88651877771,
+     3649956221, 37223830566, 2789295242, 25057765838, 49196910836, 1506248839,
+     10385228690, 22036773794, 159723802701],
+    [5314860473, 2555775341, 60254444240, 8840457879, 157309758395, 1829765030,
+     2895736723, 93398937879, 21196500811, 3453465468, 40871745868,
+     18538324942, 11452294425, 1263125863, 6819452139, 13842740055, 3433394993,
+     1749079195, 6850693935, 7019776345],
+    [2159243446, 133732392, 9271577479, 6618751207, 14364589961, 232540411,
+     476800271, 13552147441, 2773134114, 687107153, 2738243581, 4041774095,
+     4347481563, 174739016, 3031828965, 2295870068, 227770835, 260208843,
+     585466338, 745080407],
+    [3862583623, 1092474534, 40904818283, 4622359295, 74444964732, 4328221853,
+     4617624852, 64332477160, 25201508554, 4863361570, 78498524051,
+     12257093603, 78799298905, 1868182970, 20300284518, 16294006539,
+     1957403359, 3835204716, 22260327290, 21100044682],
+    [6643767073, 4909307971, 587629348967, 8243565814, 47255102426, 4211458605,
+     2331849469, 112303936501, 14888446557, 6984798790, 19515960409,
+     8196351824, 20015064280, 3349655216, 23431560762, 7586232133, 3100702156,
+     5353129886, 30965719304, 31042867254],
+    [1822887219, 11274777251, 113936060678, 20603655837, 141888293194,
+     928814863, 1305996793, 9869062412, 57649993977, 3215179001, 43811142032,
+     6772150102, 13864507576, 1754390499, 8136817090, 5474116639, 989231841,
+     2665709616, 6263429475, 23808993419],
+    [19794631724, 10148012677, 583481413261, 27130083452, 331772740564,
+     6214731640, 8760257198, 53529139055, 43981119788, 7866991658, 19861954167,
+     19683712536, 36488648920, 11315398137, 8048990921, 25256873417,
+     3032143013, 12263615917, 13900693478, 49336695808],
+    [5524502069, 3085166078, 322620657497, 30244555301, 224092013511,
+     11322896349, 1776340875, 79559872928, 88343579247, 12235717103,
+     37014749223, 10304332694, 35436943893, 5496966465, 5961014329,
+     10104301283, 5674863314, 26067062832, 42934214280, 4580129234],
+    [45351238094, 9588753157, 439192921128, 31127327659, 297217313061,
+     4337772368, 13174927131, 43213014498, 289333361439, 19617566406,
+     37114924088, 34151598959, 55734275508, 1330417077, 59514407310,
+     51237503721, 11622763149, 14214968427, 22220259465, 18288101311],
+], dtype=float)
+SINKING_B = np.array([
+    [7103036610, 22011699974, 349915899375, 13627676998, 253202042529,
+     5050444039, 4059124577, 49531457452, 30364078398, 19566004631, 8306330792,
+     101938673694, 95180866772, 3240141569, 54004662474, 10868203110,
+     837956447, 11494362269, 137499582431, 1945841791],
+    [14278165426, 6320601941, 535878347412, 20632510841, 96588292328,
+     11712286297, 6103437626, 72183543035, 152361462617, 79770015036,
+     10481343265, 14547667041, 433842576337, 5585618027, 20691513859,
+     14938265194, 2588779525, 21281444399, 4007175125, 19674146275],
+    [9037668148, 3101332198, 458959307151, 22530943354, 502714318424,
+     4207909463, 3163483847, 81849635742, 159789935548, 4872571818,
+     74728871269, 7707193778, 10858495404, 2441698337, 20736519707,
+     27200141699, 661915819, 15984549040, 5631911688, 3801287796],
+    [2032473265, 1894711474, 62778202004, 69050258137, 84638381848, 482820985,
+     1249046379, 68284207499, 15093897021, 6297999246, 19333520081, 1672205297,
+     7160349287, 110467931, 4815851771, 7921843138, 2843014007, 1999487389,
+     105246066702, 4873206168],
+    [5026666399, 3845755977, 7692578807, 12035843082, 158429139882, 7560126294,
+     168666834, 98087572475, 38429875536, 1862507839, 42866534315, 2606058153,
+     7677322573, 3401552841, 10165350148, 1538070610, 1623259066, 2482981780,
+     12517945545, 67610114836],
+    [5091787413, 4148808787, 153475179396, 21866321444, 295928544452,
+     10027586453, 9888428182, 73760939615, 270566943232, 61475344113,
+     124704511714, 17482523501, 21284139036, 4049129795, 76279102668,
+     25956582147, 3105318274, 5003565158, 30953555183, 38354316004],
+    [10897662002, 794197433, 104609916888, 134847619894, 39394885511,
+     1019213033, 2171629667, 37724429168, 3903575824, 4739207286, 21032067744,
+     12263186350, 55987256539, 1993478830, 2426424279, 9705984608, 915212937,
+     3404297797, 4909024158, 16151060051],
+    [3894788519, 490045280, 6738895200, 2134627763, 10889473790, 516502812,
+     520394847, 15676813084, 725959588, 156053794, 10256790751, 2321143103,
+     5432097664, 1219658981, 2334862755, 1245505205, 1011880700, 786309276,
+     1187152734, 1179131740],
+    [94067725681, 2103857214, 61208353082, 21900391299, 35565743238,
+     1160345358, 4782341572, 61349838393, 60361262457, 2544423536, 14219298774,
+     19343938579, 2903452087, 1048393635, 29102581431, 46208321114, 787912882,
+     5050684415, 10852688035, 10879212307],
+    [13732753725, 3590386516, 55381316154, 2758426537, 399643327805,
+     4688800430, 4317339211, 47350829957, 107873621886, 12451948394,
+     36020211226, 14129228502, 81875112659, 12445154430, 26624109323,
+     99212733375, 3806555110, 5050046224, 8650471276, 8356452657],
+    [1802861252, 3042710744, 185441244577, 9540629565, 132836653699, 200559862,
+     6642522857, 20850555226, 54515573080, 343782113, 11874772333, 9077210588,
+     4384374964, 783454430, 3019456491, 18692688189, 2182810881, 3280994746,
+     4034952399, 3487401518],
+    [18897917308, 11055337515, 116818229392, 8349294441, 370444915254,
+     1525731585, 2503435931, 36442270339, 323656808366, 12943527008,
+     18964741849, 15595663356, 20337962317, 21036925603, 60681537267,
+     62758320777, 24207307391, 28549112722, 97703672535, 39395136375],
+    [3981013412, 9038696058, 64688522409, 20657489809, 137429245937,
+     19500202824, 7202566082, 115143023065, 67967507797, 5764366255,
+     21710630535, 129791828437, 42915912095, 13378406659, 210349918249,
+     62687109850, 7294357196, 3335928720, 11296024150, 8247128966],
+    [14171434282, 3167550402, 135086156495, 9088824144, 290388257694,
+     5301523703, 9610651524, 178757121501, 159135121147, 10293754444,
+     185005405077, 2845764824, 3819390723, 9671699214, 320495218889,
+     17318531357, 12160237612, 15379915653, 95633946498, 20252908773],
+], dtype=float)
 
 class TestPriceVector:
     def test_simplex_validation(self):
@@ -525,36 +653,104 @@ class TestSolveFixedPoint:
         np.testing.assert_array_equal(p, orbit[-1])
         assert (evals, stage_exit) == (40, "cap")
 
+    def test_jump_is_cut_back_to_the_price_boundary(self):
+        # With J = 0.75 I the step is 4 d, which would take good 0's price
+        # from 0.2 to -0.2. The step is shortened so that good 0 falls by 90 %,
+        # to 10 % of its old price; good 3 does not move, so the ratio shows it
+        # through the renormalization.
+        G = SimpleNamespace(jacobian=lambda p: np.eye(p.shape[0]) * 0.75)
+        p = np.full(5, 0.2)
+        d = np.array([-0.1, 0.05, 0.05, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jumped = _newton_jump(G, p, d)
+            assert np.all(jumped > 0)
+            assert jumped[0] / jumped[3] == pytest.approx(1 - JUMP_TO_BOUNDARY, rel=1e-12)
+            np.testing.assert_allclose(jumped, [0.02, 0.29, 0.29, 0.2, 0.2], rtol=1e-12)
+            # A zero price that would fall leaves no step length: refused.
+            assert _newton_jump(G, np.array([0.0, 0.25, 0.25, 0.25, 0.25]), d) is None
+
+    def test_jump_collapsing_a_price_in_excess_demand_is_refused(self, rng):
+        # The patched Jacobian gives the Newton step with good 0's component
+        # set to cut its price by 80 %. That jump shrinks the residual enough
+        # to be kept, but good 0 is in excess demand at the new point, so it
+        # is refused and the stage is the plain orbit. With the true
+        # Jacobian the jump is taken.
+        C = rng.uniform(1e6, 1e9, (5, 7))
+        B = rng.uniform(1e6, 1e9, (5, 7))
+        G = _stage_map(C, B, B.sum(axis=1), 1e-2)
+        newton = G.jacobian
+
+        def collapsing(q):
+            d = G(q) - q
+            step = np.linalg.solve(np.eye(5) - newton(q), d)
+            step[0] = -0.8 * q[0]
+            return np.eye(5) - np.diag(d / step)
+
+        p0 = np.full(5, 0.2)
+        orbit = [p0]
+        for _ in range(31):
+            orbit.append(G(orbit[-1]))
+        # One jump is tried in 33 evaluations, from the 16th point.
+        assert not np.array_equal(_run_stage(G, p0, 0.0, 33)[0], orbit[-1])
+        G.jacobian = collapsing
+        p = orbit[15]
+        d = G(p) - p
+        cand = _newton_jump(G, p, d)
+        g_cand = G(cand)
+        assert np.abs(g_cand - cand).max() < 0.9 * np.abs(d).max()
+        assert cand[0] < JUMP_COLLAPSE * p[0] and g_cand[0] > cand[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, evals, stage_exit = _run_stage(G, p0, 0.0, 33)
+        np.testing.assert_array_equal(p, orbit[-1])
+        assert (evals, stage_exit) == (33, "cap")
+
     def test_slowly_turning_orbit_finishes_by_jumps(self, monkeypatch):
         # Without jumps the orbit turns slowly near each stage's fixed point;
-        # Newton jumps finish every stage, with no root finding, in 611 map
+        # Newton jumps finish every stage, with no root finding, in 211 map
         # evaluations.
         calls = []
         monkeypatch.setattr(equilibrium_solver, "_newton_stage",
                             lambda *args: calls.append(args))
         solution = solve_fixed_point(TURNING_C, TURNING_B)
         assert solution.clearing_set == (0, 1, 2, 4, 5)
-        assert solution.iterations <= 1000
+        assert solution.iterations <= 300
         assert calls == []
 
     def test_creeping_stage_finishes_by_jumps(self):
+        # 324 map evaluations.
         solution = solve_fixed_point(CREEPING_C, CREEPING_B)
         assert solution.clearing_set == (1, 3, 4, 7, 9, 10, 12)
-        assert solution.iterations <= 2000
+        assert solution.iterations <= 500
 
     def test_price_left_near_zero_by_a_jump_is_recovered(self):
         solution = solve_fixed_point(DIPPING_C, DIPPING_B)
         assert solution.clearing_set == (0, 1, 2, 4)
         assert solution.p0.p[0] > 0.02
+        assert solution.iterations <= 300
 
     def test_drifting_stage_goes_on_from_its_last_point(self):
-        # Solved by the run with jumps in 3,617 map evaluations.
+        # Solved by the run with jumps in 1,535 map evaluations.
         solution = solve_fixed_point(DRIFTING_C, DRIFTING_B)
         assert solution.clearing_set == (1, 3, 4, 5)
+        assert solution.iterations <= 2000
+
+    def test_stalling_case_finishes_by_jumps(self, monkeypatch):
+        # 1,931 map evaluations, in the run with jumps and without root finding.
+        calls = []
+        monkeypatch.setattr(equilibrium_solver, "_newton_stage",
+                            lambda *args: calls.append(args))
+        psi = STALLING_B.sum(axis=1)
+        solution = _solve(STALLING_C, STALLING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
+        assert solution.clearing_set == (0, 1, 2, 3, 4, 5)
+        assert solution.iterations <= 2500
+        assert calls == []
 
     def test_failed_solve_is_repeated_without_jumps(self, monkeypatch):
-        # The retry's eighth stage does not halve its residual in
-        # STALL_EVALUATIONS and hands over to root finding, which solves it.
+        # The retry's sixth stage does not halve its residual in
+        # STALL_EVALUATIONS and hands over to root finding, which solves it
+        # (9,829 map evaluations in all).
         found = []
         real = equilibrium_solver._newton_stage
 
@@ -564,16 +760,16 @@ class TestSolveFixedPoint:
             return q, used
 
         monkeypatch.setattr(equilibrium_solver, "_newton_stage", recorded)
-        psi = STALLING_B.sum(axis=1)
-        with pytest.raises(NonConvergenceError, match="at good 1 "):
-            _solve(STALLING_C, STALLING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
+        psi = SINKING_B.sum(axis=1)
+        with pytest.raises(NonConvergenceError, match="at good 12 "):
+            _solve(SINKING_C, SINKING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
         assert found == []
-        solution = solve_fixed_point(STALLING_C, STALLING_B)
-        assert solution.clearing_set == (0, 1, 2, 3, 4, 5)
+        solution = solve_fixed_point(SINKING_C, SINKING_B)
+        assert solution.clearing_set == (2, 4, 5, 6, 7, 8, 10, 11, 12, 13)
         assert found == [True]
 
     def test_map_evaluation_count(self, rng):
-        # Ten fixed random economies take 2,179 map evaluations in all.
+        # Ten fixed random economies take 2,206 map evaluations in all.
         total = sum(solve_fixed_point(*random_economy(rng)).iterations
                     for _ in range(10))
         assert total <= 2700

@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Direct ``solve_fixed_point`` calls on benchmark inputs, and a comparison of two runs.
+
+    python3 tools/direct_solves.py KIND SEED [SEED ...] --panels N --out FILE [--src DIR]
+    python3 tools/direct_solves.py --compare A B
+
+The first form makes ``N`` panels of workload ``KIND`` (``g20-panel`` or
+``structure``) per seed with ``bench/flows.py``, loads every year as the CLI
+does (``read_flows_csv``, ``build_cost_matrices``, a JSON round trip of the
+cost matrices, ``CostMatrices.from_dict``), solves it with BLAS on one thread
+and writes one JSON record per solve to ``FILE``: kind, seed, panel, year,
+ok, message, ``iterations`` (map evaluations, also of a failed solve), the
+0-based clearing set ``I``, ``p0``, the warnings raised and the wall seconds.
+``--src`` imports ``tradequil`` from another checkout's ``src`` directory, so
+two versions of the solver can be run on the same inputs.
+
+The second form reads two such files and prints, per workload and seed,
+solves, failures, new and rescued failures, map evaluations, the solves'
+median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved.
+"""
+
+import os
+
+# Set before numpy loads, as the benchmark does: one BLAS thread.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import statistics
+import sys
+import tempfile
+import time
+import warnings
+from collections import Counter, defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import flows  # noqa: E402  (bench/flows.py)
+
+
+def solve_records(kind, seeds, panels, src):
+    """Yield one record per year of every panel of every seed."""
+    sys.path.insert(0, str(src))
+    from tradequil import (CostMatrices, NonConvergenceError, build_cost_matrices,
+                           read_flows_csv, solve_fixed_point)
+
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            for panel, path in enumerate(flows.write_inputs(kind, seed, panels, tmp)):
+                for year, tensor in sorted(read_flows_csv(path).items()):
+                    payload = json.loads(json.dumps(build_cost_matrices(tensor).to_dict()))
+                    cm = CostMatrices.from_dict(payload)
+                    record = {"kind": kind, "seed": seed, "panel": panel, "year": year,
+                              "ok": False, "message": "", "iterations": None,
+                              "I": None, "p0": None}
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        start = time.perf_counter()
+                        try:
+                            solution = solve_fixed_point(cm.C, cm.B)
+                        except NonConvergenceError as err:
+                            record.update(message=str(err), iterations=err.iterations)
+                        except Exception as exc:  # recorded, not fatal to the run
+                            record["message"] = f"{type(exc).__name__}: {exc}"
+                        else:
+                            record.update(ok=True, iterations=solution.iterations,
+                                          I=list(solution.clearing_set),
+                                          p0=solution.p0.p.tolist())
+                        record["seconds"] = time.perf_counter() - start
+                    record["warnings"] = dict(Counter(w.category.__name__ for w in caught))
+                    yield record
+
+
+def load(path):
+    with open(path, encoding="utf-8") as handle:
+        return {(r["kind"], r["seed"], r["panel"], r["year"]): r
+                for r in map(json.loads, handle)}
+
+
+def compare(path_a, path_b):
+    """Print the per-seed comparison of two record files."""
+    a, b = load(path_a), load(path_b)
+    keys = sorted(a.keys() & b.keys())
+    by_seed = defaultdict(list)
+    for key in keys:
+        by_seed[key[:2]].append(key)
+    total = Counter()
+    changed = []
+    deltas = []
+    print(f"A = {path_a}\nB = {path_b}")
+    print(f"{'kind':10} {'seed':>5} {'solves':>6} {'fail A→B':>9} {'new':>4} "
+          f"{'resc':>4} {'evals A→B':>21} {'p50 ms A→B':>13} {'warn':>5} {'I chg':>5} "
+          f"{'max|Δp0|':>9}")
+    for (kind, seed), group in sorted(by_seed.items()):
+        row = Counter(solves=len(group))
+        seed_deltas = []
+        for key in group:
+            ra, rb = a[key], b[key]
+            row["fail_a"] += not ra["ok"]
+            row["fail_b"] += not rb["ok"]
+            row["new"] += ra["ok"] and not rb["ok"]
+            row["rescued"] += rb["ok"] and not ra["ok"]
+            row["evals_a"] += ra["iterations"] or 0
+            row["evals_b"] += rb["iterations"] or 0
+            row["warnings"] += sum(ra["warnings"].values()) + sum(rb["warnings"].values())
+            if ra["ok"] and rb["ok"]:
+                seed_deltas.append(float(np.abs(np.subtract(ra["p0"], rb["p0"])).max()))
+                if ra["I"] != rb["I"]:
+                    row["I_changed"] += 1
+                    changed.append((key, ra["I"], rb["I"], seed_deltas[-1]))
+        p50_a = statistics.median(a[key]["seconds"] for key in group) * 1e3
+        p50_b = statistics.median(b[key]["seconds"] for key in group) * 1e3
+        print(f"{kind:10} {seed:>5} {row['solves']:>6} "
+              f"{row['fail_a']:>4}→{row['fail_b']:<4} {row['new']:>4} {row['rescued']:>4} "
+              f"{row['evals_a']:>10,}→{row['evals_b']:<10,} {p50_a:>6.1f}→{p50_b:<6.1f} "
+              f"{row['warnings']:>5} {row['I_changed']:>5} "
+              f"{max(seed_deltas, default=0.0):>9.2e}")
+        total.update(row)
+        deltas += seed_deltas
+    print(f"{'all':10} {'':>5} {total['solves']:>6} {total['fail_a']:>4}→{total['fail_b']:<4} "
+          f"{total['new']:>4} {total['rescued']:>4} "
+          f"{total['evals_a']:>10,}→{total['evals_b']:<10,}")
+    if deltas:
+        print(f"|Δp0| where both solve ({len(deltas)}): median {statistics.median(deltas):.2e}, "
+              f"max {max(deltas):.2e}")
+    for (kind, seed, panel, year), ia, ib, delta in changed:
+        print(f"I changed: {kind} seed {seed} panel {panel}/{year}: {ia} → {ib} "
+              f"(|Δp0| {delta:.2e})")
+    for key in keys:
+        if a[key]["ok"] != b[key]["ok"]:
+            kind, seed, panel, year = key
+            side = "new" if a[key]["ok"] else "rescued"
+            print(f"{side}: {kind} seed {seed} panel {panel}/{year}: "
+                  f"{(b[key] if a[key]['ok'] else a[key])['message']}")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    parser.add_argument("kind", nargs="?", choices=sorted(flows.SPECS))
+    parser.add_argument("seeds", nargs="*", type=int)
+    parser.add_argument("--panels", type=int, default=1)
+    parser.add_argument("--out")
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    args = parser.parse_args(argv)
+    if not args.compare and not (args.kind and args.seeds and args.out):
+        parser.error("give KIND, at least one SEED and --out, or --compare A B")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        for record in solve_records(args.kind, args.seeds, args.panels, Path(args.src)):
+            handle.write(json.dumps(record) + "\n")
+            handle.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
