@@ -273,10 +273,7 @@ def _newton_jump(G, p, d):
     alpha = min(1.0, JUMP_TO_BOUNDARY * float(np.min(p[blocking] / -step[blocking],
                                                      initial=np.inf)))
     cand = p + alpha * step
-    if not np.all(cand > 0):
-        return None
-    total = cand.sum()
-    return cand / total if np.isfinite(total) else None
+    return cand / cand.sum() if np.all(cand > 0) else None
 
 
 def _run_stage(G, p, tol_stage, cap, extrapolate=True):
