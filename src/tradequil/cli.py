@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -189,7 +190,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process: parsing leaves it
+    unchanged, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="tradequil",
         description="Equilibrium prices and recession diagnostics for "

@@ -26,3 +26,29 @@ class TestDirectSolves:
         report = run("--compare", out, out).stdout
         assert "structure    502      4    0→0       0    0" in report
         assert "I changed" not in report and "median 0.00e+00" in report
+
+    def test_structure_verdicts_are_recorded_and_compared(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        run("structure", 502, "--panels", 1, "--ops", "--out", out)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 4
+        for record in records:
+            assert record["ok"] and record["warnings"] == {}
+            assert sorted(record["ops"]) == ["certify_consistency", "certify_consistency_I",
+                                             "exists_ideal", "factor_supply"]
+            assert all(isinstance(v, str) and v for v in record["ops"].values())
+        assert "structure verdicts compared: 16, changed: 0" in run("--compare", out, out).stdout
+        records[1]["ops"]["exists_ideal"] = "RankDeficiencyError"
+        changed = tmp_path / "changed.jsonl"
+        changed.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = run("--compare", out, changed).stdout
+        assert "structure verdicts compared: 16, changed: 1" in report
+        assert ("verdict changed: structure seed 502 panel 0/2017 exists_ideal: "
+                f"{json.loads(out.read_text().splitlines()[1])['ops']['exists_ideal']} → "
+                "RankDeficiencyError") in report
+
+    def test_structure_verdicts_need_structure_panels(self, tmp_path):
+        result = subprocess.run([sys.executable, str(DIRECT_SOLVES), "g20-panel", "311", "--ops",
+                                 "--out", str(tmp_path / "x.jsonl")],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2 and "give KIND structure" in result.stderr

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Direct ``solve_fixed_point`` calls on benchmark inputs, and a comparison of two runs.
 
-    python3 tools/direct_solves.py KIND SEED [SEED ...] --panels N --out FILE [--src DIR]
+    python3 tools/direct_solves.py KIND SEED [SEED ...] --panels N --out FILE [--src DIR] [--ops]
     python3 tools/direct_solves.py --compare A B
 
 The first form makes ``N`` panels of workload ``KIND`` (``g20-panel`` or
@@ -12,11 +12,17 @@ and writes one JSON record per solve to ``FILE``: kind, seed, panel, year,
 ok, message, ``iterations`` (map evaluations, also of a failed solve), the
 0-based clearing set ``I``, ``p0``, the warnings raised and the wall seconds.
 ``--src`` imports ``tradequil`` from another checkout's ``src`` directory, so
-two versions of the solver can be run on the same inputs.
+two versions of the solver can be run on the same inputs. ``--ops`` (for
+``structure`` only) also runs the benchmark's four structure calls after
+every successful solve, ``certify_consistency`` without and with ``I``,
+``factor_supply`` and ``exists_ideal``, and records in ``ops`` the verdict of
+each: the label, the factor's mode, ``exists`` or the reason's first clause,
+or the class of the error raised.
 
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations, the solves'
-median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved.
+median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved,
+and every structure verdict that differs where both files have one.
 """
 
 import os
@@ -42,9 +48,32 @@ sys.path.insert(0, str(ROOT / "bench"))
 import flows  # noqa: E402  (bench/flows.py)
 
 
-def solve_records(kind, seeds, panels, src):
+def ideal_verdict(result):
+    """``exists``, or the first clause of the reason no ideal equilibrium exists."""
+    return "exists" if result.exists else result.reason.split(":")[0]
+
+
+def structure_verdicts(tradequil, C, B, clearing):
+    """The verdict of each of the benchmark's four structure calls."""
+    steps = (
+        ("certify_consistency", lambda: tradequil.certify_consistency(C, B).label),
+        ("certify_consistency_I", lambda: tradequil.certify_consistency(C, B, clearing).label),
+        ("factor_supply", lambda: tradequil.factor_supply(C, B).mode),
+        ("exists_ideal", lambda: ideal_verdict(tradequil.exists_ideal(C, B))),
+    )
+    verdicts = {}
+    for name, run in steps:
+        try:
+            verdicts[name] = run()
+        except Exception as exc:  # a typed error is the verdict
+            verdicts[name] = type(exc).__name__
+    return verdicts
+
+
+def solve_records(kind, seeds, panels, src, ops=False):
     """Yield one record per year of every panel of every seed."""
     sys.path.insert(0, str(src))
+    import tradequil
     from tradequil import (CostMatrices, NonConvergenceError, build_cost_matrices,
                            read_flows_csv, solve_fixed_point)
 
@@ -71,6 +100,9 @@ def solve_records(kind, seeds, panels, src):
                                           I=list(solution.clearing_set),
                                           p0=solution.p0.p.tolist())
                         record["seconds"] = time.perf_counter() - start
+                        if ops and record["ok"]:
+                            record["ops"] = structure_verdicts(tradequil, cm.C, cm.B,
+                                                               tuple(record["I"]))
                     record["warnings"] = dict(Counter(w.category.__name__ for w in caught))
                     yield record
 
@@ -130,6 +162,15 @@ def compare(path_a, path_b):
     for (kind, seed, panel, year), ia, ib, delta in changed:
         print(f"I changed: {kind} seed {seed} panel {panel}/{year}: {ia} → {ib} "
               f"(|Δp0| {delta:.2e})")
+    verdicts = [(key, name, a[key]["ops"][name], b[key]["ops"][name])
+                for key in keys if "ops" in a[key] and "ops" in b[key]
+                for name in sorted(a[key]["ops"])]
+    if verdicts:
+        flips = [v for v in verdicts if v[2] != v[3]]
+        print(f"structure verdicts compared: {len(verdicts)}, changed: {len(flips)}")
+        for (kind, seed, panel, year), name, va, vb in flips:
+            print(f"verdict changed: {kind} seed {seed} panel {panel}/{year} {name}: "
+                  f"{va} → {vb}")
     for key in keys:
         if a[key]["ok"] != b[key]["ok"]:
             kind, seed, panel, year = key
@@ -146,9 +187,13 @@ def parse_args(argv):
     parser.add_argument("--panels", type=int, default=1)
     parser.add_argument("--out")
     parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--ops", action="store_true",
+                        help="also record the verdicts of the four structure calls")
     args = parser.parse_args(argv)
     if not args.compare and not (args.kind and args.seeds and args.out):
         parser.error("give KIND, at least one SEED and --out, or --compare A B")
+    if args.ops and args.kind != "structure":
+        parser.error("--ops runs the structure calls: give KIND structure")
     return args
 
 
@@ -159,7 +204,8 @@ def main(argv=None):
         return 0
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:
-        for record in solve_records(args.kind, args.seeds, args.panels, Path(args.src)):
+        for record in solve_records(args.kind, args.seeds, args.panels, Path(args.src),
+                                    args.ops):
             handle.write(json.dumps(record) + "\n")
             handle.flush()
     return 0
