@@ -13,7 +13,8 @@ Linear programs skip ``scipy.optimize.linprog`` and call HiGHS through the
 binding scipy ships with it. The cone LPs are small, and linprog's per-call
 checks, option validation and sparse conversion took about seven times as
 long as HiGHS's own solve. The binding runs the same solver with the same
-options, and ``tests/test_numerics.py`` checks that the answers agree to the bit.
+options, ``linprog`` repeats scipy's check of the optimum, and
+``tests/test_numerics.py`` checks that the answers agree to the bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def magnitude(*arrays):
 
 
 class LPResult(NamedTuple):
-    """What :func:`linprog` returns: ``x`` is None unless ``status == 0``."""
+    """What :func:`linprog` returns: ``x`` is None unless HiGHS found an optimum."""
 
     x: np.ndarray | None
     status: int
@@ -53,7 +54,7 @@ class LPResult(NamedTuple):
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
-            method="highs", options=None):
+            options=None):
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds``: ``scipy.optimize.linprog(method="highs")`` without its
     per-call wrapper.
@@ -63,13 +64,13 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
     (presolve on, dual simplex, no output) and ``options``; ``bounds`` is one
     ``(low, high)`` pair for every column or one per column, None meaning
     unbounded. ``status`` is scipy's code: 0 optimal, 1 time or iteration
-    limit, 2 infeasible or model error, 3 unbounded, 4 otherwise.
+    limit, 2 infeasible or model error, 3 unbounded, 4 otherwise, which
+    includes an optimum that misses a bound or a row by more than scipy's
+    absolute check of ``10 * sqrt(1e-9)``.
     """
     from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsOptions,
                                                HighsStatus, MatrixFormat, _Highs, kHighsInf)
 
-    if method != "highs":
-        raise ValueError(f"unknown LP method {method!r}, only 'highs' is supported")
     c = np.asarray(c, dtype=float).ravel()
     n = c.shape[0]
     A_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
@@ -86,10 +87,10 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
     lp.col_cost_ = c
-    lp.col_lower_ = np.where(np.isnan(bounds[:, 0]), -kHighsInf, bounds[:, 0])
-    lp.col_upper_ = np.where(np.isnan(bounds[:, 1]), kHighsInf, bounds[:, 1])
+    lp.col_lower_ = lower = np.where(np.isnan(bounds[:, 0]), -kHighsInf, bounds[:, 0])
+    lp.col_upper_ = upper = np.where(np.isnan(bounds[:, 1]), kHighsInf, bounds[:, 1])
     lp.row_lower_ = np.concatenate([np.full(b_ub.shape[0], -kHighsInf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    lp.row_upper_ = rhs = np.concatenate([b_ub, b_eq])
     # The nonzeros column by column, as scipy's csc_array stores them.
     cols, rows = np.nonzero(A.T)
     lp.a_matrix_.format_ = MatrixFormat.kColwise
@@ -117,9 +118,20 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
               HighsModelStatus.kTimeLimit: 1, HighsModelStatus.kIterationLimit: 1,
               HighsModelStatus.kInfeasible: 2, HighsModelStatus.kModelError: 2,
               HighsModelStatus.kUnbounded: 3}.get(model_status, 4)
-    x = np.array(highs.getSolution().col_value) if status == 0 else None
     message = (f"{highs.modelStatusToString(model_status)} "
                f"(HiGHS model status {int(model_status)})")
+    x = None
+    if status == 0:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        # scipy's _check_result; a nan anywhere fails it too.
+        tol = 10 * np.sqrt(1e-9)
+        slack = rhs - np.array(solution.row_value)
+        if not (np.all((x >= lower - tol) & (x <= upper + tol))
+                and np.all(slack[:b_ub.shape[0]] >= -tol)
+                and np.all(np.abs(slack[b_ub.shape[0]:]) <= tol)):
+            status = 4
+            message = f"the optimum misses a bound or a row by more than {tol:.2e}"
     return LPResult(x, status, status == 0, message)
 
 

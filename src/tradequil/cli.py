@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 from pathlib import Path
@@ -190,10 +189,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser():
-    """The CLI's argument parser, built once per process: parsing leaves it
-    unchanged, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="tradequil",
         description="Equilibrium prices and recession diagnostics for "

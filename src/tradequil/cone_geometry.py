@@ -292,8 +292,7 @@ def interior_subset(C, psi):
     r = numerical_rank(C)
     A, _ = unit_columns(C)
     scale = float(np.abs(psi).max(initial=0.0)) or 1.0
-    vertex = linprog(np.ones(C.shape[1]), A_eq=A, b_eq=psi / scale,
-                     bounds=(0, None), method="highs")
+    vertex = linprog(np.ones(C.shape[1]), A_eq=A, b_eq=psi / scale, bounds=(0, None))
     if vertex.status == 2:
         return None, None
     if vertex.status == 0:
@@ -457,7 +456,7 @@ def max_margin(C, psi):
     cost = np.zeros(l + 1)
     cost[-1] = -1.0
     res = linprog(cost, A_eq=np.hstack([A, A.sum(axis=1, keepdims=True)]), b_eq=b,
-                  bounds=[(0, None)] * l + [(0, 1)], method="highs",
+                  bounds=[(0, None)] * l + [(0, 1)],
                   options={"primal_feasibility_tolerance": BASE_TOL})
     if res.status == 2:
         return None

@@ -378,8 +378,7 @@ def _clearing_row_sums(C, B, I):
     else:
         A_ub, b_ub = None, None
     bounds = [(0, None)] * l + [(0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if not res.success or res.x is None:
         return None
     y, margin = res.x[:-1], res.x[-1]
@@ -486,8 +485,7 @@ def _positive_kernel_vector(kernel, C=None):
         A_eq = np.vstack([np.hstack([C.T, -kernel, np.zeros((l, 1))]), A_eq])
         b_eq = np.append(np.zeros(l), float(l))
     bounds = [(0, None)] * n + [(None, None)] * dim + [(0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if not res.success or res.x is None or res.x[-1] <= ROUNDING:
         return None
     d = kernel @ res.x[n:n + dim]

@@ -13,7 +13,7 @@ from tradequil._numerics import BASE_TOL, linprog, unit_columns
 
 
 def assert_same(**problem):
-    mine = linprog(method="highs", **problem)
+    mine = linprog(**problem)
     ref = optimize.linprog(method="highs", **problem)
     assert mine.status == ref.status
     assert mine.success == ref.success == (mine.status == 0)
@@ -91,6 +91,21 @@ class TestAgreesWithScipy:
         tight = assert_same(**problem, options={"primal_feasibility_tolerance": BASE_TOL})
         assert tight.status == 2
 
+    @pytest.mark.parametrize("miss", ["row", "inequality", "bound"])
+    def test_optimum_outside_scipys_check_is_status_4(self, miss):
+        # A loose feasibility tolerance lets HiGHS accept x = (1, 1), which
+        # misses a row or a bound by 1e-3, more than scipy's check allows.
+        problem = dict(c=[1.0, 1.0], A_eq=[[1.0, 0.0], [0.0, 1.0]], b_eq=[1.0, 1.0],
+                       options={"primal_feasibility_tolerance": 1e-2})
+        if miss == "row":
+            problem.update(A_eq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0, 2.001])
+        elif miss == "inequality":
+            problem.update(A_ub=[[1.0, 1.0]], b_ub=[1.999])
+        else:
+            problem.update(bounds=[(0, None), (0, 0.999)])
+        res = assert_same(**problem)
+        assert res.status == 4 and not res.success and res.x is not None
+
     def test_infeasible(self):
         res = assert_same(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0], bounds=(0, None))
         assert res.status == 2 and res.x is None
@@ -100,8 +115,6 @@ class TestAgreesWithScipy:
         assert res.status == 3 and res.x is None
 
 
-def test_mismatched_shapes_and_unknown_method_raise():
+def test_mismatched_shapes_raise():
     with pytest.raises(ValueError, match="does not match"):
         linprog([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])
-    with pytest.raises(ValueError, match="only 'highs'"):
-        linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], method="simplex")

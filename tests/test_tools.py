@@ -29,7 +29,7 @@ class TestDirectSolves:
 
     def test_structure_verdicts_are_recorded_and_compared(self, tmp_path):
         out = tmp_path / "records.jsonl"
-        run("structure", 502, "--panels", 1, "--ops", "--out", out)
+        run("structure", 502, "--panels", 1, "--out", out)
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 4
         for record in records:
@@ -46,9 +46,3 @@ class TestDirectSolves:
         assert ("verdict changed: structure seed 502 panel 0/2017 exists_ideal: "
                 f"{json.loads(out.read_text().splitlines()[1])['ops']['exists_ideal']} → "
                 "RankDeficiencyError") in report
-
-    def test_structure_verdicts_need_structure_panels(self, tmp_path):
-        result = subprocess.run([sys.executable, str(DIRECT_SOLVES), "g20-panel", "311", "--ops",
-                                 "--out", str(tmp_path / "x.jsonl")],
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 2 and "give KIND structure" in result.stderr

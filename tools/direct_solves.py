@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Direct ``solve_fixed_point`` calls on benchmark inputs, and a comparison of two runs.
 
-    python3 tools/direct_solves.py KIND SEED [SEED ...] --panels N --out FILE [--src DIR] [--ops]
+    python3 tools/direct_solves.py KIND SEED [SEED ...] --panels N --out FILE [--src DIR]
     python3 tools/direct_solves.py --compare A B
 
 The first form makes ``N`` panels of workload ``KIND`` (``g20-panel`` or
@@ -12,12 +12,12 @@ and writes one JSON record per solve to ``FILE``: kind, seed, panel, year,
 ok, message, ``iterations`` (map evaluations, also of a failed solve), the
 0-based clearing set ``I``, ``p0``, the warnings raised and the wall seconds.
 ``--src`` imports ``tradequil`` from another checkout's ``src`` directory, so
-two versions of the solver can be run on the same inputs. ``--ops`` (for
-``structure`` only) also runs the benchmark's four structure calls after
-every successful solve, ``certify_consistency`` without and with ``I``,
-``factor_supply`` and ``exists_ideal``, and records in ``ops`` the verdict of
-each: the label, the factor's mode, ``exists`` or the reason's first clause,
-or the class of the error raised.
+two versions of the solver can be run on the same inputs. On ``structure``
+panels every successful solve is followed by the benchmark's four structure
+calls, ``certify_consistency`` without and with ``I``, ``factor_supply`` and
+``exists_ideal``, and ``ops`` records the verdict of each: the label, the
+factor's mode, ``exists`` or the reason's first clause, or the class of the
+error raised. Their warnings are not counted in ``warnings``.
 
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations, the solves'
@@ -70,7 +70,7 @@ def structure_verdicts(tradequil, C, B, clearing):
     return verdicts
 
 
-def solve_records(kind, seeds, panels, src, ops=False):
+def solve_records(kind, seeds, panels, src):
     """Yield one record per year of every panel of every seed."""
     sys.path.insert(0, str(src))
     import tradequil
@@ -100,10 +100,10 @@ def solve_records(kind, seeds, panels, src, ops=False):
                                           I=list(solution.clearing_set),
                                           p0=solution.p0.p.tolist())
                         record["seconds"] = time.perf_counter() - start
-                        if ops and record["ok"]:
-                            record["ops"] = structure_verdicts(tradequil, cm.C, cm.B,
-                                                               tuple(record["I"]))
                     record["warnings"] = dict(Counter(w.category.__name__ for w in caught))
+                    if kind == "structure" and record["ok"]:
+                        record["ops"] = structure_verdicts(tradequil, cm.C, cm.B,
+                                                           tuple(record["I"]))
                     yield record
 
 
@@ -187,13 +187,9 @@ def parse_args(argv):
     parser.add_argument("--panels", type=int, default=1)
     parser.add_argument("--out")
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--ops", action="store_true",
-                        help="also record the verdicts of the four structure calls")
     args = parser.parse_args(argv)
     if not args.compare and not (args.kind and args.seeds and args.out):
         parser.error("give KIND, at least one SEED and --out, or --compare A B")
-    if args.ops and args.kind != "structure":
-        parser.error("--ops runs the structure calls: give KIND structure")
     return args
 
 
@@ -204,8 +200,7 @@ def main(argv=None):
         return 0
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:
-        for record in solve_records(args.kind, args.seeds, args.panels, Path(args.src),
-                                    args.ops):
+        for record in solve_records(args.kind, args.seeds, args.panels, Path(args.src)):
             handle.write(json.dumps(record) + "\n")
             handle.flush()
     return 0
