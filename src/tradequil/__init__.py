@@ -1,34 +1,6 @@
 """Equilibrium price vectors and recession diagnostics for goods-exchange
 economies built from bilateral trade-flow data."""
 
-from .cone_geometry import (
-    BiorthogonalSystem,
-    Membership,
-    MembershipResult,
-    PositiveSolutionFamily,
-    biorthogonal_system,
-    classify_membership,
-    generating_set,
-    interior_subset,
-    positive_solution_family,
-    strictly_positive_solution,
-)
-from .consistency import (
-    ConsistencyCertificate,
-    DVector,
-    Factorization,
-    IdealCheck,
-    IdealExistence,
-    PriceRecovery,
-    certify_consistency,
-    check_ideal,
-    construct_ideal_supply,
-    construct_supply,
-    exists_ideal,
-    factor_supply,
-    price_from_D,
-    solve_D,
-)
 from .equilibrium_solver import (
     EquilibriumCheck,
     EquilibriumSolution,
@@ -68,6 +40,29 @@ from .trade_data import (
 )
 
 __version__ = "0.1.0"
+
+# The structure analysis is imported on first use, so that importing
+# ``tradequil.cli``, which never calls it, does not compile and load it.
+_LAZY = {
+    **dict.fromkeys(("BiorthogonalSystem", "Membership", "MembershipResult",
+                     "PositiveSolutionFamily", "biorthogonal_system", "classify_membership",
+                     "generating_set", "interior_subset", "positive_solution_family",
+                     "strictly_positive_solution"), "cone_geometry"),
+    **dict.fromkeys(("ConsistencyCertificate", "DVector", "Factorization", "IdealCheck",
+                     "IdealExistence", "PriceRecovery", "certify_consistency", "check_ideal",
+                     "construct_ideal_supply", "construct_supply", "exists_ideal",
+                     "factor_supply", "price_from_D", "solve_D"), "consistency"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
 
 __all__ = [
     "BiorthogonalSystem",

@@ -278,7 +278,11 @@ def read_flows_csv(path, year=None, countries=None, products=None):
         countries, "countries", SchemaError)
     known_products = None if products is None else _unique_labels(
         products, "products", SchemaError)
-    problems, kept = [], []
+    # One list per field: the strings and numbers in them are not tracked by
+    # the garbage collector, while a tuple per row would be, and the 22,400
+    # of a G20 panel set off full collections.
+    problems = []
+    row_years, reporters, partners, row_products, values = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -318,17 +322,20 @@ def read_flows_csv(path, year=None, countries=None, products=None):
             elif reporter == partner and value != 0:
                 problem = f"self-flow for {reporter!r}"
             else:
-                kept.append((row_year, reporter, partner, product, value))
+                row_years.append(row_year)
+                reporters.append(reporter)
+                partners.append(partner)
+                row_products.append(product)
+                values.append(value)
                 continue
             problems.append((reader.line_num, problem))
 
     if problems:
         preview = "; ".join(f"line {ln}: {msg}" for ln, msg in problems[:5])
         raise SchemaError(f"{len(problems)} bad row(s): {preview}", rows=problems)
-    if not kept:
+    if not values:
         raise SchemaError("no data rows" + (f" for year {year}" if year is not None else ""))
 
-    row_years, reporters, partners, row_products, values = zip(*kept)
     countries = tuple(countries or dict.fromkeys(chain.from_iterable(zip(reporters, partners))))
     products = tuple(products or dict.fromkeys(row_products))
     years = sorted(set(row_years))

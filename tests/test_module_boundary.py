@@ -1,8 +1,13 @@
 """No tradequil module uses a private name of another tradequil module,
-every tolerance is named once, in ``_numerics``, and only ``_numerics``
-imports scipy, inside the functions that call it."""
+every tolerance is named once, in ``_numerics``, only ``_numerics``
+imports scipy, inside the functions that call it, and ``tradequil.cli``
+loads no structure analysis."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +132,26 @@ def test_only_numerics_imports_scipy_and_only_on_first_use():
         if path.name != "_numerics.py" or not in_function
     ]
     assert offences == []
+
+
+# Runs in a fresh interpreter: the modules loaded by importing the CLI, then
+# every exported name, looked up on the package.
+FRESH_IMPORT = """
+import json, sys
+import tradequil.cli
+loaded = sorted(m for m in sys.modules if m.startswith("tradequil."))
+import tradequil
+missing = [name for name in tradequil.__all__ if getattr(tradequil, name, None) is None]
+print(json.dumps({"loaded": loaded, "missing": missing}))
+"""
+
+
+def test_cli_import_loads_no_structure_analysis():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "tradequil.cli" in child["loaded"]
+    assert not {"tradequil.cone_geometry", "tradequil.consistency"} & set(child["loaded"])
+    assert child["missing"] == []

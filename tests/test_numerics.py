@@ -3,7 +3,12 @@
 The package calls HiGHS through scipy's binding directly; scipy's public
 wrapper runs the same solver with the same options, so on every LP shape the
 package uses both must report the same status and the same ``x``, bit for bit.
+``linprog`` reuses one HiGHS instance per thread, so this must also hold
+whatever LPs, options and errors came before, and from two threads at once.
 """
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -118,3 +123,68 @@ class TestAgreesWithScipy:
 def test_mismatched_shapes_raise():
     with pytest.raises(ValueError, match="does not match"):
         linprog([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])
+
+
+# Rows 0 and 1 fix x = (1, 1), which row 2 misses by 5e-8 (status 0, and 2 at
+# BASE_TOL) or by 1e-3 (status 2, and 4 at a tolerance of 1e-2).
+NEAR = dict(c=[1.0, 1.0], A_eq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0, 2.0 + 5e-8])
+MISSED = dict(NEAR, b_eq=[1.0, 1.0, 2.001])
+
+
+def mixed_problems():
+    """LPs whose answers move if a previous call's options or model leak: each
+    tolerance-sensitive instance comes with and without its option."""
+    rng = np.random.default_rng(16)
+    problems = []
+    for _ in range(3):  # max_margin at BASE_TOL
+        A, _ = unit_columns(sparse_uniform(rng, (4, 6)))
+        problems.append(dict(c=np.append(np.zeros(6), -1.0),
+                             A_eq=np.hstack([A, A.sum(axis=1, keepdims=True)]),
+                             b_eq=A @ rng.uniform(0.0, 1.0, 6), bounds=[(0, None)] * 6 + [(0, 1)],
+                             options={"primal_feasibility_tolerance": BASE_TOL}))
+    problems += [NEAR, dict(NEAR, options={"primal_feasibility_tolerance": BASE_TOL}),
+                 dict(MISSED, options={"primal_feasibility_tolerance": 1e-2}), MISSED]
+    problems.append(dict(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0]))  # infeasible
+    problems.append(dict(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0]))  # unbounded
+    n, l = 3, 5  # _positive_kernel_vector, with free columns
+    C, kernel = sparse_uniform(rng, (n, l)), rng.normal(size=(l, 2))
+    problems.append(dict(
+        c=np.append(np.zeros(n + 2), -1.0),
+        A_ub=np.hstack([np.zeros((l, n)), -kernel, np.ones((l, 1))]), b_ub=np.zeros(l),
+        A_eq=np.vstack([np.hstack([C.T, -kernel, np.zeros((l, 1))]),
+                        np.hstack([np.zeros(n), kernel.sum(axis=0), np.zeros(1)])]),
+        b_eq=np.append(np.zeros(l), float(l)),
+        bounds=[(0, None)] * n + [(None, None)] * 2 + [(0, None)]))
+    return problems
+
+
+class TestReusedSolver:
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_answers_do_not_depend_on_the_calls_before(self, order):
+        problems = mixed_problems()
+        statuses = [assert_same(**problem).status
+                    for problem in (problems if order == "forward" else problems[::-1])]
+        assert sorted(set(statuses)) == [0, 2, 3, 4]
+
+    def test_refused_option_does_not_reach_the_next_call(self):
+        with pytest.raises(ValueError, match="no_such_option"):
+            linprog(**MISSED, options={"primal_feasibility_tolerance": 1e-2,
+                                       "no_such_option": 1})
+        assert assert_same(**MISSED).status == 2
+
+    def test_two_threads(self):
+        problems = mixed_problems()
+        halves = [problems[::2], problems[1::2]]
+
+        def solve(half):
+            return [assert_same(**problem).status for _ in range(20) for problem in half]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between calls into HiGHS
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(solve, half) for half in halves]
+                statuses = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(s) for s in statuses] == [20 * len(half) for half in halves]

@@ -7,9 +7,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DIRECT_SOLVES = ROOT / "tools" / "direct_solves.py"
 
 
-def run(*args):
-    return subprocess.run([sys.executable, str(DIRECT_SOLVES), *map(str, args)],
-                          capture_output=True, text=True, check=True, timeout=120)
+def run(*args, status=0):
+    proc = subprocess.run([sys.executable, str(DIRECT_SOLVES), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == status, proc.stderr
+    return proc
 
 
 class TestDirectSolves:
@@ -41,8 +43,18 @@ class TestDirectSolves:
         records[1]["ops"]["exists_ideal"] = "RankDeficiencyError"
         changed = tmp_path / "changed.jsonl"
         changed.write_text("".join(json.dumps(r) + "\n" for r in records))
-        report = run("--compare", out, changed).stdout
+        report = run("--compare", out, changed, status=1).stdout
         assert "structure verdicts compared: 16, changed: 1" in report
         assert ("verdict changed: structure seed 502 panel 0/2017 exists_ideal: "
                 f"{json.loads(out.read_text().splitlines()[1])['ops']['exists_ideal']} → "
                 "RankDeficiencyError") in report
+        # A solve that fails only in B gates too; one that B rescues does not.
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        records[2].update(ok=False, message="doctored", I=None, p0=None)
+        del records[2]["ops"]
+        failed = tmp_path / "failed.jsonl"
+        failed.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert "new: structure seed 502 panel 0/2018: doctored" in run(
+            "--compare", out, failed, status=1).stdout
+        assert "rescued: structure seed 502 panel 0/2018: doctored" in run(
+            "--compare", failed, out).stdout

@@ -22,7 +22,9 @@ error raised. Their warnings are not counted in ``warnings``.
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations, the solves'
 median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved,
-and every structure verdict that differs where both files have one.
+and every structure verdict that differs where both files have one. It exits
+with status 1 when B fails a solve that A solved or changes a structure
+verdict, and 0 otherwise, so it can gate a change on its own.
 """
 
 import os
@@ -114,7 +116,8 @@ def load(path):
 
 
 def compare(path_a, path_b):
-    """Print the per-seed comparison of two record files."""
+    """Print the per-seed comparison of two record files; return whether B
+    has no new failure and no changed structure verdict."""
     a, b = load(path_a), load(path_b)
     keys = sorted(a.keys() & b.keys())
     by_seed = defaultdict(list)
@@ -165,8 +168,8 @@ def compare(path_a, path_b):
     verdicts = [(key, name, a[key]["ops"][name], b[key]["ops"][name])
                 for key in keys if "ops" in a[key] and "ops" in b[key]
                 for name in sorted(a[key]["ops"])]
+    flips = [v for v in verdicts if v[2] != v[3]]
     if verdicts:
-        flips = [v for v in verdicts if v[2] != v[3]]
         print(f"structure verdicts compared: {len(verdicts)}, changed: {len(flips)}")
         for (kind, seed, panel, year), name, va, vb in flips:
             print(f"verdict changed: {kind} seed {seed} panel {panel}/{year} {name}: "
@@ -177,6 +180,7 @@ def compare(path_a, path_b):
             side = "new" if a[key]["ok"] else "rescued"
             print(f"{side}: {kind} seed {seed} panel {panel}/{year}: "
                   f"{(b[key] if a[key]['ok'] else a[key])['message']}")
+    return not (total["new"] or flips)
 
 
 def parse_args(argv):
@@ -196,8 +200,7 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return 0 if compare(*args.compare) else 1
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         for record in solve_records(args.kind, args.seeds, args.panels, Path(args.src)):
