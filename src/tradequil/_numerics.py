@@ -3,11 +3,11 @@ and the package's only entry points into scipy.
 
 Every scipy routine the package calls goes through a function here that
 imports it on its first call. Importing ``scipy.optimize`` takes most of the
-start-up time of the CLI, yet ``ingest``, ``shares`` and ``report`` never
-call scipy, and ``solve`` calls it only in the root-finding fallback; loaded
-lazily, scipy is paid for only by the calls that use it. Callers bind these
-names at module level (``from ._numerics import linprog``), so tests and
-tracing can rebind them per module.
+start-up time of the CLI, yet ``ingest``, ``shares``, ``solve`` and ``report``
+never call scipy; loaded lazily, scipy is paid for only by the structure
+analyses that use it. Callers bind these names at module level
+(``from ._numerics import linprog``), so tests and tracing can rebind them per
+module.
 
 Linear programs skip ``scipy.optimize.linprog`` and call HiGHS through the
 binding scipy ships with it, on one HiGHS instance per thread that every call
@@ -43,7 +43,6 @@ BASE_TOL = 1e-9  # membership, rank, sign and balance decisions
 RESIDUAL_TOL = 1e-8  # residual of a verified solve
 DEFAULT_TOL = 1e-6  # equilibrium inequalities and the clearing set
 DEFAULT_TOL_INNER = 1e-10  # fixed-point residual of the last solver stage
-LOG_FLOOR = 1e-18  # floor on a price before its log; hybr's outcome moves with it
 
 
 def magnitude(*arrays):
@@ -147,13 +146,6 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
             status = 4
             message = f"the optimum misses a bound or a row by more than {tol:.2e}"
     return LPResult(x, status, status == 0, message)
-
-
-def root(*args, **kwargs):
-    """``scipy.optimize.root``, loaded on first use."""
-    from scipy import optimize
-
-    return optimize.root(*args, **kwargs)
 
 
 def strong_components(adjacency):

@@ -13,7 +13,8 @@ from the map's exact Jacobian (C. T. Kelley, *Solving Nonlinear Equations
 with Newton's Method*, SIAM 2003, ch. 1-2). Prices outside the clearing set
 fall toward zero, and a full Newton step would often make them negative;
 the jump is cut back to stay inside the simplex instead, as an
-interior-point method keeps its iterates interior.
+interior-point method keeps its iterates interior. A last stage that stalls
+is finished by the same Newton step, taken unguarded.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ import numpy as np
 from ._numerics import (
     DEFAULT_TOL,
     DEFAULT_TOL_INNER,
-    LOG_FLOOR,
     RESIDUAL_TOL,
     ROUNDING,
     as_matrix,
     as_vector,
-    root,
 )
 from .errors import (
     DivisionGuardError,
@@ -50,6 +49,9 @@ JUMP_TO_BOUNDARY = 0.9
 # A jump that cuts a price below this fraction of its old value is kept only
 # if that good's price still falls at the new point.
 JUMP_COLLAPSE = 0.5
+# A last stage that stops short of its tolerance gets at most this many plain
+# Newton steps.
+FINISH_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -286,9 +288,9 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
     good whose price it cut below ``JUMP_COLLAPSE`` of the old price is
     still falling at the new point: the absolute residual cannot see a
     collapsed price whose good is in excess demand. Deterministic; returns
-    (p, map evaluations, exit), ``p`` being the stage's last point and the exit
-    "converged", "stalled" (residual not halved in ``STALL_EVALUATIONS``) or
-    "cap".
+    (p, map evaluations, exit), ``p`` being the stage's last point, from which
+    the next stage goes on whatever the exit, and the exit "converged",
+    "stalled" (residual not halved in ``STALL_EVALUATIONS``) or "cap".
     """
     peak, absolute = np.maximum.reduce, np.abs
     g = G(p)
@@ -301,8 +303,8 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
         if resid <= tol_stage:
             return p, evals, "converged"
         if evals - evals_at_halving > STALL_EVALUATIONS:
-            # Too slow a mode (or none) to finish the stage; let the caller
-            # root-find it instead of burning the budget.
+            # Too slow a mode (or none) to finish the stage; hand the point
+            # on instead of burning the budget.
             return p, evals, "stalled"
         if resid <= 0.5 * halved_resid:
             halved_resid, evals_at_halving = resid, evals
@@ -323,43 +325,25 @@ def _run_stage(G, p, tol_stage, cap, extrapolate=True):
     return p, evals, "cap"
 
 
-def _softmax(v):
-    """``exp(v) / sum(exp(v))``, or None where that sum overflows."""
-    with np.errstate(over="ignore"):
-        x = np.exp(v)
-        total = x.sum()
-    return x / total if np.isfinite(total) else None
+def _newton_finish(G, p, tol):
+    """At most ``FINISH_STEPS`` plain Newton steps ``_newton_jump(G, p, G(p) - p)``.
 
-
-def _newton_stage(G, p, tol_stage):
-    """Stage fixed point by root finding in softmax coordinates.
-
-    The regularized map keeps every stage fixed point strictly positive, so
-    the softmax parametrization is exact; the result is accepted only when
-    the verified fixed-point residual meets the stage tolerance.
+    Returns (the first point, ``p`` itself included, whose residual
+    max|G(p) - p| is at most ``tol``, or None, map evaluations). Unlike a
+    jump inside a stage, a step is taken whatever it does to the residual:
+    it runs only where the iteration has stopped making progress.
     """
-    n = p.shape[0]
-    if n == 1:
-        return np.array([1.0]), 0
-    u_full = np.log(np.maximum(p, LOG_FLOOR))
-    u0 = (u_full - u_full[-1])[:-1]
-
-    def gap(u):
-        q = _softmax(np.append(u, 0.0))
-        if q is None:
-            # A NaN residual makes hybr reject the step. Shifting exp to keep
-            # it finite instead lets hybr reach points where a good's price
-            # collapses, and more solves fail.
-            return np.full(n - 1, np.nan)
-        return (G(q) - q)[:-1]
-
-    result = root(gap, u0, method="hybr")
-    q = _softmax(np.append(result.x, 0.0))
-    if q is None:
-        return None, int(result.nfev)
-    if _residual(G, q) <= tol_stage:
-        return q, int(result.nfev)
-    return None, int(result.nfev)
+    evals = 0
+    while True:
+        d = G(p) - p
+        evals += 1
+        if float(np.abs(d).max()) <= tol:
+            return p, evals
+        if evals > FINISH_STEPS:
+            return None, evals
+        p = _newton_jump(G, p, d)
+        if p is None:
+            return None, evals
 
 
 def solve_fixed_point(C, B, tol=DEFAULT_TOL,
@@ -368,11 +352,12 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL,
 
     Iterates ``p <- G_eps(p)`` with Newton jumps on the simplex for each
     epsilon of ``EPSILONS``, warm-starting every stage from the last point
-    of the one before; a stage that stalls or reaches
-    ``MAX_INNER_ITERATIONS`` is root-found instead. ``tol`` bounds each
-    good's excess demand relative to its supply and ``tol_inner`` the last
-    stage's fixed-point residual. A solve that fails is repeated once
-    without Newton jumps.
+    of the one before, whether that stage converged, stalled or reached
+    ``MAX_INNER_ITERATIONS``. A last stage that stops short of ``tol_inner``
+    is finished by at most ``FINISH_STEPS`` plain Newton steps. ``tol``
+    bounds each good's excess demand relative to its supply and
+    ``tol_inner`` the last stage's fixed-point residual. A solve that fails
+    is repeated once without Newton jumps inside the stages. Needs no scipy.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning) and positive
     aggregate supply for every good.
@@ -423,25 +408,25 @@ def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
         G = _stage_map(C, B, psi, epsilon)
         p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
         iterations += used
-        if stage_exit != "converged":
-            # Root-find the stage fixed point directly, then verify it; the
-            # orbit can stall when the map is barely contractive.
-            p_root, used_root = _newton_stage(G, p, tol_stage)
-            iterations += used_root
-            if p_root is None:
-                residual = _residual(G, p)
-                reason = (f"stalled after {used} map evaluations (residual not "
-                          f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
-                          f"hit the {MAX_INNER_ITERATIONS}-evaluation cap after {used} "
-                          "map evaluations")
-                raise NonConvergenceError(
-                    f"stage epsilon={epsilon:.3e} {reason}, and root finding "
-                    f"failed; residual {residual:.3e}",
-                    residual=residual,
-                    iterations=iterations,
-                    epsilon=epsilon,
-                )
-            p = p_root
+        # A stage that stalls or reaches the cap hands on its last point too.
+
+    if stage_exit != "converged":
+        # The last stage must meet tol_inner: finish it by plain Newton steps.
+        p_finished, used_finish = _newton_finish(G, p, tol_inner)
+        iterations += used_finish
+        if p_finished is None:
+            residual = _residual(G, p)
+            reason = (f"stalled after {used} map evaluations (residual not "
+                      f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
+                      f"hit the {MAX_INNER_ITERATIONS}-evaluation cap after {used} "
+                      "map evaluations")
+            raise NonConvergenceError(
+                f"stage epsilon={last_epsilon:.3e} {reason}; residual {residual:.3e}",
+                residual=residual,
+                iterations=iterations,
+                epsilon=last_epsilon,
+            )
+        p = p_finished
 
     residual = _residual(G, p)  # G is the last stage's map
     check = is_equilibrium(C, B, p, tol=tol)

@@ -95,12 +95,12 @@ class PreconditionError(ValueError):
 class NonConvergenceError(RuntimeError):
     """A computation ended without an answer it can vouch for.
 
-    The price solver raises it when a stage hit its iteration cap or
-    stalled and root finding failed too, when its point violates the
-    equilibrium inequalities, when no good clears there, or when the
-    aggregate cost identity fails. The structure tools raise it when a
-    linear program fails or its answer, a factor or an eigen-system misses
-    its residual check.
+    The price solver raises it when its last stage hit its iteration cap
+    or stalled and the Newton steps that follow did not finish it, when its
+    point violates the equilibrium inequalities, when no good clears there,
+    or when the aggregate cost identity fails. The structure tools raise it
+    when a linear program fails or its answer, a factor or an eigen-system
+    misses its residual check.
     """
 
     def __init__(self, message, residual=None, iterations=None, epsilon=None):

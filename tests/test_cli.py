@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import tradequil
+from test_equilibrium import FADING_B, FADING_C
+from tradequil import CostMatrices
 from tradequil.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 TOY_CSV = (
@@ -268,15 +270,17 @@ class TestReport:
         assert not (out / "re").exists()
 
 
-# Runs in a fresh interpreter: the CLI steps that need no scipy, then a
+# Runs in a fresh interpreter: the CLI steps that need no scipy, among them a
+# solve whose last stage stalls and is finished by Newton steps, then a
 # consistency certificate, whose LPs and strong-components test load it.
 FRESH_CHILD = """
 import json, sys
 from tradequil.cli import main
-csv_path, out, C, B = sys.argv[1:]
+csv_path, matrices, out, C, B = sys.argv[1:]
 codes = [main(["ingest", "--input", csv_path, "--out", out]),
          main(["shares", "--input", out + "/matrices_2020.json",
-               "--out", out + "/shares"])]
+               "--out", out + "/shares"]),
+         main(["solve", "--input", matrices, "--out", out + "/solve"])]
 loaded = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
 import numpy as np
 from tradequil import certify_consistency
@@ -290,15 +294,20 @@ class TestStartup:
     def test_scipy_loads_only_when_first_called(self, tmp_path):
         C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         B = np.array([[0.0, 1.0], [1.0, 0.0], [1.5, 1.5]])
+        matrices = tmp_path / "fading.json"
+        matrices.write_text(json.dumps(CostMatrices.from_supply_demand(
+            FADING_C, FADING_B).to_dict()), encoding="utf-8")
         src = str(Path(tradequil.__file__).parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c", FRESH_CHILD, str(write_csv(tmp_path)),
+            [sys.executable, "-c", FRESH_CHILD, str(write_csv(tmp_path)), str(matrices),
              str(tmp_path / "out"), json.dumps(C.tolist()), json.dumps(B.tolist())],
             env=env, capture_output=True, text=True, check=True, timeout=120)
         child = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert child["codes"] == [EXIT_OK, EXIT_OK]
+        assert child["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK]
         assert child["loaded"] == []
+        solved = json.loads((tmp_path / "out" / "solve" / "solution.json").read_text())
+        assert solved["I"] == [1, 2]
         assert child["optimize_after"]
         assert child["label"] == tradequil.certify_consistency(C, B, I=(0, 1)).label

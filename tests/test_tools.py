@@ -58,3 +58,32 @@ class TestDirectSolves:
             "--compare", out, failed, status=1).stdout
         assert "rescued: structure seed 502 panel 0/2018: doctored" in run(
             "--compare", failed, out).stdout
+
+    def test_failures_are_counted_by_class(self, tmp_path):
+        messages = [
+            "converged point violates the equilibrium inequalities by 1.0e+08 at good 3",
+            "converged point violates the equilibrium inequalities by 2.0e+08 at good 5",
+            "stage epsilon=5.960e-10 stalled after 2893 map evaluations (residual not "
+            "halved in 2000); residual 2.9e-08",
+            "stage epsilon=5.960e-10 hit the 200000-evaluation cap after 200000 map "
+            "evaluations; residual 1.0e-09",
+            "no good clears at the converged point; tighten tolerances",
+            "aggregate cost identity violated by 1.000e-03",
+        ]
+        solved = {"ok": True, "message": "", "iterations": 10, "I": [0], "p0": [1.0],
+                  "warnings": {}, "seconds": 0.01}
+        records_a, records_b = [], []
+        for year, message in enumerate(messages, start=2016):
+            key = {"kind": "g20-panel", "seed": 301, "panel": 0, "year": year}
+            records_a.append({**key, **solved})
+            records_b.append({**key, **solved, "ok": False, "message": message,
+                              "I": None, "p0": None})
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text("".join(json.dumps(r) + "\n" for r in records_a))
+        b.write_text("".join(json.dumps(r) + "\n" for r in records_b))
+        report = run("--compare", a, b, status=1).stdout
+        assert ("failures by class A: violation 0, stall 0, cap 0, no good clears 0, "
+                "other 0") in report
+        assert ("failures by class B: violation 2, stall 1, cap 1, no good clears 1, "
+                "other 1") in report
+        assert "failures by class A: violation 2, stall 1" in run("--compare", b, a).stdout

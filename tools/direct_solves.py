@@ -22,7 +22,8 @@ error raised. Their warnings are not counted in ``warnings``.
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations, the solves'
 median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved,
-and every structure verdict that differs where both files have one. It exits
+each side's failures by class (``FAILURE_CLASSES``, read from the message) and
+every structure verdict that differs where both files have one. It exits
 with status 1 when B fails a solve that A solved or changes a structure
 verdict, and 0 otherwise, so it can gate a change on its own.
 """
@@ -48,6 +49,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import flows  # noqa: E402  (bench/flows.py)
+
+
+# Failure classes and the words of the solver's message that name each; any
+# other message is of class "other".
+FAILURE_CLASSES = (("violation", "violates the equilibrium inequalities"),
+                   ("stall", "stalled after"),
+                   ("cap", "-evaluation cap"),
+                   ("no good clears", "no good clears"))
+
+
+def failure_class(message):
+    return next((name for name, words in FAILURE_CLASSES if words in message), "other")
 
 
 def ideal_verdict(result):
@@ -159,6 +172,11 @@ def compare(path_a, path_b):
     print(f"{'all':10} {'':>5} {total['solves']:>6} {total['fail_a']:>4}→{total['fail_b']:<4} "
           f"{total['new']:>4} {total['rescued']:>4} "
           f"{total['evals_a']:>10,}→{total['evals_b']:<10,}")
+    for side, records in (("A", a), ("B", b)):
+        classes = Counter(failure_class(records[key]["message"])
+                          for key in keys if not records[key]["ok"])
+        print(f"failures by class {side}: " + ", ".join(
+            f"{name} {classes[name]}" for name in [*dict(FAILURE_CLASSES), "other"]))
     if deltas:
         print(f"|Δp0| where both solve ({len(deltas)}): median {statistics.median(deltas):.2e}, "
               f"max {max(deltas):.2e}")
