@@ -98,9 +98,14 @@ def render_report(cm: CostMatrices, solution: EquilibriumSolution,
     return "\n".join(lines)
 
 
+def _labels(text):
+    """Comma-separated labels, stripped as ``read_flows_csv`` strips fields."""
+    return [label.strip() for label in text.split(",")] if text else None
+
+
 def cmd_ingest(args) -> int:
-    countries = args.countries.split(",") if args.countries else None
-    products = args.products.split(",") if args.products else None
+    countries = _labels(args.countries)
+    products = _labels(args.products)
     tensors = read_flows_csv(
         args.input, year=args.year, countries=countries, products=products
     )

@@ -32,7 +32,6 @@ from ._numerics import (
     numerical_rank,
     strong_components,
 )
-from .cone_geometry import Membership, classify_membership
 from .errors import (
     DegenerateTargetError,
     DivisionGuardError,
@@ -155,13 +154,15 @@ def _classify_factor(C, B, B1):
     )
 
 
-def factor_supply(C, B, rank_subset=None) -> Factorization:
-    """Factor ``B = C @ B1`` through the general solution of ``C x = b_i``.
+def factor_supply(C, B) -> Factorization:
+    """Factor ``B = C @ B1`` with every row sum of ``B1`` strictly positive.
 
-    Requires ``rank(C) = n <= l`` and the aggregate supply interior to the
-    subcone of ``n`` independent columns (found automatically unless
-    ``rank_subset`` is given). Free coordinates are filled with a uniform
-    positive budget small enough to keep every row sum of ``B1`` positive.
+    Requires ``rank(C) = n <= l`` and a strictly positive solution ``y`` of
+    ``C @ y = psi`` (``psi`` the aggregate supply), taken from one
+    :func:`cone_geometry.max_margin` program. ``B1`` is the least-squares
+    factor shifted along ``null(C)`` to row sums ``y``: the factor of the
+    ``weak`` tier of :func:`certify_consistency`. Raises
+    ``DegenerateTargetError`` when ``psi`` has no strictly positive solution.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
@@ -179,45 +180,12 @@ def factor_supply(C, B, rank_subset=None) -> Factorization:
             expected=n,
         )
 
-    psi = B.sum(axis=1)
-    if rank_subset is not None:
-        subset = tuple(int(i) for i in rank_subset)
-        if len(subset) != n:
-            raise ValueError(f"rank_subset must list {n} columns, got {len(subset)}")
-        res = classify_membership(C[:, subset].T, psi)
-        if res.verdict is not Membership.INTERIOR:
-            raise DegenerateTargetError(
-                f"aggregate supply is not interior to the subcone {subset}",
-                certificate=res.alpha,
-            )
-    else:
-        subset, _ = cone_geometry.interior_subset(C, psi)
-        if subset is None:
-            raise DegenerateTargetError(
-                "aggregate supply is not interior to any full-rank column subcone"
-            )
-
-    subset = tuple(subset)
-    free = tuple(i for i in range(l) if i not in set(subset))
-    Cm = C[:, subset]
-    B1 = np.zeros((l, l))
-    if free:
-        reduced_free = np.linalg.solve(Cm, C[:, free])  # columns Cm^-1 C_s
-        a_hat = float(np.abs(reduced_free).max())
-        b_hat = float(np.linalg.solve(Cm, psi).min())
-        if a_hat <= 0:
-            epsilon = b_hat  # free columns vanish in the reduced system
-        else:
-            epsilon = 0.5 * b_hat / ((l - n) * a_hat)
-        share = epsilon / l
-        shift = share * C[:, free].sum(axis=1)
-        head = np.linalg.solve(Cm, B - shift[:, None])
-        B1[list(subset), :] = head
-        B1[list(free), :] = share
-    else:
-        B1[list(subset), :] = np.linalg.solve(Cm, B)
-
-    fact = _classify_factor(C, B, B1)
+    found = cone_geometry.max_margin(C, B.sum(axis=1))
+    if found is None or found[0] <= BASE_TOL:
+        raise DegenerateTargetError(
+            "aggregate supply has no strictly positive solution in the demand columns"
+        )
+    fact = _classify_factor(C, B, _with_row_sums(C, _span_factor(C, B), found[1]))
     if not _residual_ok(fact, B):
         raise NonConvergenceError(
             f"factor residual {fact.residual:.3e} exceeds tolerance",
@@ -542,9 +510,10 @@ def check_ideal(C, B, p) -> IdealCheck:
 def exists_ideal(C, B) -> IdealExistence:
     """Decide whether prices zeroing every trade balance exist.
 
-    Requires the aggregate balance to vanish. Runs the factorization, the
-    unit-ratio eigen-system, and the nonnegative price recovery; all three
-    must succeed.
+    Requires the aggregate balance to vanish. Takes the least-squares factor
+    of ``B = C @ B1`` with its row sums pinned to one, then the unit-ratio
+    eigen-system and the nonnegative price recovery; all three must succeed,
+    and the prices found must pass :func:`check_ideal`.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
@@ -559,14 +528,15 @@ def exists_ideal(C, B) -> IdealExistence:
             condition="zero_aggregate_balance",
         )
     l = C.shape[1]
-    try:
-        fact = factor_supply(C, B)
-    except (ValueError, NonConvergenceError) as exc:
-        return IdealExistence(False, None, None, f"factorization failed: {exc}")
+    span = _span_factor(C, B)
+    if span is None:
+        return IdealExistence(
+            False, None, None, "factorization failed: supply leaves the span of C"
+        )
 
     # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
     # to exactly one so the unit-ratio eigen-system is the right one.
-    B1 = _with_row_sums(C, fact.B1, np.ones(l))
+    B1 = _with_row_sums(C, span, np.ones(l))
     try:
         kernel, d = _eigen_space(B1, np.ones(l))
     except (ValueError, NonConvergenceError) as exc:

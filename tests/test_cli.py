@@ -55,6 +55,18 @@ class TestIngest:
         assert "countries list names 'a' twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spaces_after_list_commas_are_ignored(self, tmp_path):
+        csv_path = write_csv(tmp_path, "year,reporter,partner,product,value\n"
+                                       "2020,US,CN,g,3\n2020,CN,US,g,5\n2020,US,CN,h,2\n")
+        written = []
+        for countries, products in (("US,CN", "h,g"), ("US, CN", " h , g")):
+            out = tmp_path / countries / products
+            assert run("ingest", "--input", csv_path, "--out", out,
+                       "--countries", countries, "--products", products) == EXIT_OK
+            written.append((out / "matrices_2020.json").read_text())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["countries"] == ["US", "CN"]
+
     def test_synthetic_many_country_ingest(self, tmp_path):
         rng = np.random.default_rng(3)
         lines = ["year,reporter,partner,product,value"]

@@ -69,15 +69,38 @@ class TestFactorSupply:
         with pytest.raises(RankDeficiencyError, match="drop dependent rows"):
             factor_supply(C, C.copy())
 
-    def test_bad_rank_subset_rejected(self):
-        C = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
-        B = C @ np.full((3, 3), 1.0 / 3.0)
+    def test_boundary_target_rejected(self):
+        # psi = (2, 2) is 2 * C_2, an extreme ray of the cone of C: the only
+        # nonnegative solution of C @ y = psi is (0, 0, 2).
         with pytest.raises(DegenerateTargetError):
-            # psi = (4/3)*(C_0 + C_1 + C_2)/... is interior to cone{C_0, C_1}
-            # but we request a subcone that misses it.
             factor_supply(np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
-                          np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]),
-                          rank_subset=(0, 2))
+                          np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]))
+
+    def test_square_cone_factors(self):
+        # Demand over the corners of the unit square: psi = C @ 1 is interior
+        # to the cone of C but on the common facet of every simplicial
+        # subcone. A factor exists all the same: the projector onto the row
+        # space of C, shifted along null(C) to positive row sums, which keeps
+        # negative entries.
+        C = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        fact = factor_supply(C, C.copy())
+        assert fact.mode == "weak"
+        assert np.all(fact.row_sums > 0)
+        assert np.abs(C - C @ fact.B1).max() <= 1e-12
+
+    def test_factor_is_the_weak_certificate_factor(self, rng):
+        weak = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            l = int(rng.integers(n, 8))
+            C = rng.uniform(0.1, 1.0, (n, l))
+            B = rng.uniform(0.0, 1.0, (n, l))
+            cert = certify_consistency(C, B)
+            if cert.label != "weak":
+                continue
+            weak += 1
+            np.testing.assert_array_equal(factor_supply(C, B).B1, cert.factorization.B1)
+        assert weak >= 10
 
 
 class TestCertifyConsistency:
