@@ -148,17 +148,6 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
     return LPResult(x, status, status == 0, message)
 
 
-def strong_components(adjacency):
-    """Number of strongly connected components of the directed graph with an
-    edge ``i -> j`` wherever ``adjacency[i, j]`` is nonzero."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    count, _ = connected_components(csr_matrix(adjacency), directed=True,
-                                    connection="strong")
-    return count
-
-
 def nnls_solve(A, b):
     """Nonnegative least squares ``argmin_{x>=0} ||A x - b||_2``.
 
@@ -205,16 +194,14 @@ def unit_columns(a):
     return a / norms, norms
 
 
-def numerical_rank(a, tol=None):
-    """Number of singular values above ``tol``, by default ``BASE_TOL`` times
-    the largest, so that ``rank(s * a) == rank(a)`` for every ``s > 0``."""
+def numerical_rank(a):
+    """Number of singular values above ``BASE_TOL`` times the largest, so that
+    ``rank(s * a) == rank(a)`` for every ``s > 0``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = BASE_TOL * float(s[0])
-    return int(np.sum(s > tol))
+    return int(np.sum(s > BASE_TOL * float(s[0])))
 
 
 def require_independent(vectors, name="vectors"):

@@ -17,7 +17,6 @@ generators in *columns*.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -266,26 +265,16 @@ def generating_set(cone):
     return tuple(alive)
 
 
-def _independent_subsets(columns, r):
-    """Yield index tuples of r linearly independent columns, lexicographically."""
-    subsets = itertools.combinations(range(columns.shape[1]), r)
-    for count, subset in enumerate(subsets, start=1):
-        if count > _MAX_SUBSETS:
-            raise InfeasibleError(
-                f"column-subset enumeration exceeded {_MAX_SUBSETS} candidates"
-            )
-        if numerical_rank(columns[:, subset].T) == r:
-            yield subset
-
-
 def interior_subset(C, psi):
     """Independent columns of ``C`` whose subcone has ``psi`` in its interior.
 
     Tries the support of a simplex vertex of ``{z >= 0 : A z = psi / max|psi|}``
-    (``A`` the unit-normalized columns of ``C``), then, when that is not an
-    interior subcone, every independent subset in lexicographic order. Returns
-    ``(subset, result)``, or ``(None, best)`` with ``best`` the first boundary
-    verdict met (None when ``psi`` is outside the cone).
+    (``A`` the unit-normalized columns of ``C``), then every ``rank(C)``-subset
+    of the columns in lexicographic order, in one loop: a candidate of the
+    wrong size, or one that :func:`classify_membership` finds dependent, is
+    skipped. Returns ``(subset, result)``, or ``(None, best)`` with ``best``
+    the first boundary verdict met (None when ``psi`` is outside the cone).
+    Raises :class:`InfeasibleError` beyond ``_MAX_SUBSETS`` candidates.
     """
     C = as_matrix(C, "C")
     psi = as_vector(psi, "psi")
@@ -295,18 +284,24 @@ def interior_subset(C, psi):
     vertex = linprog(np.ones(C.shape[1]), A_eq=A, b_eq=psi / scale, bounds=(0, None))
     if vertex.status == 2:
         return None, None
+    candidates = itertools.combinations(range(C.shape[1]), r)
     if vertex.status == 0:
         # Basic coordinates of the vertex are cone coordinates in exactly the
         # normalization classify_membership decides on.
         support = tuple(int(j) for j in np.flatnonzero(vertex.x > BASE_TOL))
-        if len(support) == r:
-            with contextlib.suppress(RankDeficiencyError):
-                res = classify_membership(C[:, support].T, psi)
-                if res.verdict is Membership.INTERIOR:
-                    return support, res
+        candidates = itertools.chain([support], candidates)
     best = None
-    for subset in _independent_subsets(C, r):
-        res = classify_membership(C[:, subset].T, psi)
+    for count, subset in enumerate(candidates, start=1):
+        if count > _MAX_SUBSETS:
+            raise InfeasibleError(
+                f"column-subset enumeration exceeded {_MAX_SUBSETS} candidates"
+            )
+        if len(subset) != r:
+            continue
+        try:
+            res = classify_membership(C[:, subset].T, psi)
+        except RankDeficiencyError:
+            continue
         if res.verdict is Membership.INTERIOR:
             return subset, res
         if res.verdict is Membership.BOUNDARY and best is None:
@@ -314,14 +309,14 @@ def interior_subset(C, psi):
     return None, best
 
 
-def positive_solution_family(C, psi, subset=None):
+def positive_solution_family(C, psi):
     """Parametrize the strictly positive solutions of ``C @ y = psi``.
 
     Requires ``psi`` interior to the subcone of some full-rank column subset,
-    found by :func:`interior_subset` unless ``subset`` is given. The family
-    is built from the biorthogonal system of that subset: one extreme
-    solution per free column, and weights ``gamma`` interior to a polytope.
-    Raises :class:`OutsideConeError` when ``psi`` is not in the cone and
+    the one :func:`interior_subset` finds. The family is built from the
+    biorthogonal system of that subset: one extreme solution per free
+    column, and weights ``gamma`` interior to a polytope. Raises
+    :class:`OutsideConeError` when ``psi`` is not in the cone and
     :class:`DegenerateTargetError` when it is interior to no full-rank
     subcone; :func:`strictly_positive_solution` still decides such targets.
     """
@@ -332,30 +327,20 @@ def positive_solution_family(C, psi, subset=None):
         raise ValueError(f"psi has length {psi.shape[0]}, expected {n}")
     r = numerical_rank(C)
 
-    if subset is not None:
-        subset = tuple(int(i) for i in subset)
-        res = classify_membership(C[:, subset].T, psi)
-        if res.verdict is not Membership.INTERIOR:
-            raise DegenerateTargetError(
-                f"psi is not interior to the requested subcone {subset}",
-                dual_index=_first_violated(res, len(subset)),
-                certificate=res.alpha,
-            )
-    else:
-        subset, res = interior_subset(C, psi)
-        if subset is None and res is None:
-            certificate, index = _separation(C, psi)
-            raise OutsideConeError(
-                "psi lies outside the cone of the columns of C",
-                certificate=certificate,
-                dual_index=index,
-            )
-        if subset is None:
-            raise DegenerateTargetError(
-                "psi touches only the boundary of every full-rank subcone",
-                dual_index=_first_violated(res, r),
-                certificate=res.alpha,
-            )
+    subset, res = interior_subset(C, psi)
+    if subset is None and res is None:
+        certificate, index = _separation(C, psi)
+        raise OutsideConeError(
+            "psi lies outside the cone of the columns of C",
+            certificate=certificate,
+            dual_index=index,
+        )
+    if subset is None:
+        raise DegenerateTargetError(
+            "psi touches only the boundary of every full-rank subcone",
+            dual_index=_first_violated(res, r),
+            certificate=res.alpha,
+        )
 
     free = tuple(i for i in range(l) if i not in set(subset))
     system = biorthogonal_system(C[:, subset].T)
@@ -395,7 +380,7 @@ def positive_solution_family(C, psi, subset=None):
         ystar=ystar,
         gamma_constraints=polytope,
         base_point=base_point,
-        subset=tuple(subset),
+        subset=subset,
         free=free,
         duals=system.dual,
     )

@@ -30,7 +30,6 @@ from ._numerics import (
     magnitude,
     nnls_solve,
     numerical_rank,
-    strong_components,
 )
 from .errors import (
     DegenerateTargetError,
@@ -122,10 +121,17 @@ class IdealExistence:
 
 
 def _support_strongly_connected(B1, tol):
+    """Whether the digraph with an edge ``i -> j`` wherever ``|B1[i, j]| > tol``
+    is strongly connected (one agent needs its own edge). Every agent reaches
+    every other by a path of at most ``l - 1`` edges, so ``(l - 1).bit_length()``
+    squarings of the adjacency with self-loops give the reachability."""
     l = B1.shape[0]
     if l == 1:
         return bool(B1[0, 0] > tol)
-    return strong_components((np.abs(B1) > tol).astype(np.int8)) == 1
+    reach = (np.abs(B1) > tol) | np.eye(l, dtype=bool)
+    for _ in range((l - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def _classify_factor(C, B, B1):
@@ -162,7 +168,9 @@ def factor_supply(C, B) -> Factorization:
     :func:`cone_geometry.max_margin` program. ``B1`` is the least-squares
     factor shifted along ``null(C)`` to row sums ``y``: the factor of the
     ``weak`` tier of :func:`certify_consistency`. Raises
-    ``DegenerateTargetError`` when ``psi`` has no strictly positive solution.
+    ``DegenerateTargetError`` when ``psi`` has no strictly positive solution,
+    and ``NonConvergenceError`` (with ``residual``) when ``B - C @ B1``
+    fails the residual check, as it does when supply leaves the span of ``C``.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
@@ -185,7 +193,7 @@ def factor_supply(C, B) -> Factorization:
         raise DegenerateTargetError(
             "aggregate supply has no strictly positive solution in the demand columns"
         )
-    fact = _classify_factor(C, B, _with_row_sums(C, _span_factor(C, B), found[1]))
+    fact = _shifted_factor(C, B, found[1])
     if not _residual_ok(fact, B):
         raise NonConvergenceError(
             f"factor residual {fact.residual:.3e} exceeds tolerance",
@@ -198,12 +206,14 @@ def _residual_ok(fact, B):
     return fact.residual <= RESIDUAL_TOL * magnitude(B)
 
 
-def _span_factor(C, B):
-    """Least-squares factor, or None when some supply column leaves span(C)."""
+def _shifted_factor(C, B, y):
+    """The least-squares factor of ``B = C @ B1`` shifted along null(C) to
+    row sums ``y``, classified. Its residual is not checked here: it is small
+    only when ``B`` lies in the span of ``C`` and ``C @ y`` is the aggregate
+    supply."""
     B1, *_ = np.linalg.lstsq(C, B, rcond=None)
-    if magnitude(B - C @ B1) > RESIDUAL_TOL * magnitude(B):
-        return None
-    return B1
+    l = B1.shape[1]
+    return _classify_factor(C, B, B1 + np.outer(y - B1.sum(axis=1), np.full(l, 1.0 / l)))
 
 
 def _nonneg_solution(C, b):
@@ -218,8 +228,8 @@ def _nonneg_solution(C, b):
 
 
 def _nonneg_factor(C, B):
-    """Columnwise nonnegative factor, or None at the first column outside
-    the cone of the columns of ``C``."""
+    """Columnwise nonnegative factor, classified, or None at the first column
+    outside the cone of the columns of ``C``."""
     l = C.shape[1]
     B1 = np.zeros((l, l))
     for i in range(l):
@@ -227,30 +237,7 @@ def _nonneg_factor(C, B):
         if column is None:
             return None
         B1[:, i] = column
-    return B1
-
-
-def _with_row_sums(C, B1, target):
-    """Shift a factor along null(C) so its row sums hit ``target`` exactly."""
-    v = target - B1.sum(axis=1)
-    if np.abs(v).max(initial=0.0) == 0.0:
-        return B1
-    return B1 + np.outer(v, np.full(B1.shape[1], 1.0 / B1.shape[1]))
-
-
-def _side_margin(C, B, I, y):
-    """Worst slack of the strict inequalities on goods outside I."""
-    off = [k for k in range(C.shape[0]) if k not in set(I)]
-    if not off:
-        return np.inf
-    slack = B[off, :].sum(axis=1) - C[off, :] @ y
-    return float(slack.min())
-
-
-def _strict_notes(fact):
-    if fact.strictly_positive:
-        return ()
-    return ("factor is indecomposable but not strictly positive",)
+    return _classify_factor(C, B, B1)
 
 
 def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
@@ -259,14 +246,15 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
     Tries, in order: strict on all goods, strict of rank ``|I|``, weak on
     all goods, weak of rank ``|I|``. The rank-``|I|`` labels additionally
     require strict inequalities (demand below supply) on the goods outside
-    ``I``. Every certified factor has its residual verified. ``none`` is a
-    valid outcome, not an error.
+    ``I``, so they are tried only when ``I`` leaves some good out. Every
+    certified factor has its residual verified. ``none`` is a valid
+    outcome, not an error.
     """
     C = as_matrix(C, "C")
     B = as_matrix(B, "B")
     if C.shape != B.shape:
         raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
-    n, l = C.shape
+    n = C.shape[0]
     if I is not None:
         I = tuple(sorted(int(k) for k in I))
         if not I:
@@ -274,59 +262,53 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
         if I[0] < 0 or I[-1] >= n:
             raise ValueError(f"clearing subset {I} out of range for {n} goods")
 
-    B1 = _nonneg_factor(C, B)
-    if B1 is not None:
-        fact = _classify_factor(C, B, B1)
-        if fact.mode == "strict" and _residual_ok(fact, B):
-            return ConsistencyCertificate(
-                "strict", fact, clearing_set=tuple(range(n)), notes=_strict_notes(fact)
-            )
-
-    if I is not None and len(I) < n:
-        sub = _certify_rows(C, B, I, want_strict=True)
-        if sub is not None:
-            return sub
-
-    span = _span_factor(C, B)
-    if span is not None:
-        y = _nonneg_solution(C, B.sum(axis=1))
-        if y is not None:
-            fact = _classify_factor(C, B, _with_row_sums(C, span, y))
-            if fact.mode in ("strict", "weak") and _residual_ok(fact, B):
-                return ConsistencyCertificate("weak", fact, clearing_set=tuple(range(n)))
-
-    if I is not None and len(I) < n:
-        sub = _certify_rows(C, B, I, want_strict=False)
-        if sub is not None:
-            return sub
-
+    blocks = (None,) if I is None or len(I) == n else (None, I)
+    for strict in (True, False):
+        for rows in blocks:
+            certificate = _certify(C, B, rows, strict)
+            if certificate is not None:
+                return certificate
     return ConsistencyCertificate("none", None)
 
 
-def _certify_rows(C, B, I, want_strict):
-    """Rank-|I| certification on the row block I with off-I side inequalities."""
-    rows = list(I)
-    CI, BI = C[rows, :], B[rows, :]
-    if want_strict:
-        B1 = _nonneg_factor(CI, BI)
-        label, modes = "strict-of-rank-|I|", ("strict",)
+def _certify(C, B, I, strict):
+    """The certificate of one tier, or None.
+
+    ``strict`` asks for a nonnegative indecomposable factor, built column by
+    column; otherwise the least-squares factor with nonnegative row sums
+    will do. ``I`` None certifies on all goods; a tuple ``I`` certifies on
+    that row block, with row sums that meet the off-``I`` inequalities.
+    """
+    CI, BI = (C, B) if I is None else (C[list(I), :], B[list(I), :])
+    if strict:
+        fact = _nonneg_factor(CI, BI)
     else:
-        span = _span_factor(CI, BI)
-        y = None if span is None else _clearing_row_sums(C, B, I)
-        B1 = None if y is None else _with_row_sums(CI, span, y)
-        label, modes = "weak-of-rank-|I|", ("strict", "weak")
-    if B1 is None:
+        y = _nonneg_solution(C, B.sum(axis=1)) if I is None else _clearing_row_sums(C, B, I)
+        fact = None if y is None else _shifted_factor(CI, BI, y)
+    modes = ("strict",) if strict else ("strict", "weak")
+    if fact is None or fact.mode not in modes or not _residual_ok(fact, BI):
         return None
-    fact = _classify_factor(CI, BI, B1)
-    if fact.mode not in modes or not _residual_ok(fact, BI):
-        return None
+    label = "strict" if strict else "weak"
+    notes = ()
+    if strict and not fact.strictly_positive:
+        notes = ("factor is indecomposable but not strictly positive",)
+    if I is None:
+        return ConsistencyCertificate(
+            label, fact, clearing_set=tuple(range(C.shape[0])), notes=notes
+        )
     margin = _side_margin(C, B, I, fact.row_sums)
     if margin <= BASE_TOL * magnitude(B.sum(axis=1)):
         return None
     return ConsistencyCertificate(
-        label, fact, clearing_set=tuple(I), side_margin=margin,
-        notes=_strict_notes(fact) if want_strict else (),
+        f"{label}-of-rank-|I|", fact, clearing_set=I, side_margin=margin, notes=notes
     )
+
+
+def _side_margin(C, B, I, y):
+    """Worst slack of the strict inequalities on goods outside I."""
+    off = [k for k in range(C.shape[0]) if k not in set(I)]
+    slack = B[off, :].sum(axis=1) - C[off, :] @ y
+    return float(slack.min())
 
 
 def _clearing_row_sums(C, B, I):
@@ -339,14 +321,9 @@ def _clearing_row_sums(C, B, I):
     c = np.zeros(l + 1)
     c[-1] = -1.0
     A_eq = np.hstack([C[rows, :], np.zeros((len(rows), 1))])
-    b_eq = psi[rows]
-    if off:
-        A_ub = np.hstack([C[off, :], np.ones((len(off), 1))])
-        b_ub = psi[off]
-    else:
-        A_ub, b_ub = None, None
+    A_ub = np.hstack([C[off, :], np.ones((len(off), 1))])
     bounds = [(0, None)] * l + [(0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    res = linprog(c, A_ub=A_ub, b_ub=psi[off], A_eq=A_eq, b_eq=psi[rows], bounds=bounds)
     if not res.success or res.x is None:
         return None
     y, margin = res.x[:-1], res.x[-1]
@@ -527,18 +504,16 @@ def exists_ideal(C, B) -> IdealExistence:
             f"(worst gap {gap:.3e})",
             condition="zero_aggregate_balance",
         )
-    l = C.shape[1]
-    span = _span_factor(C, B)
-    if span is None:
+    # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
+    # to exactly one so the unit-ratio eigen-system is the right one.
+    ones = np.ones(C.shape[1])
+    fact = _shifted_factor(C, B, ones)
+    if not _residual_ok(fact, B):
         return IdealExistence(
             False, None, None, "factorization failed: supply leaves the span of C"
         )
-
-    # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
-    # to exactly one so the unit-ratio eigen-system is the right one.
-    B1 = _with_row_sums(C, span, np.ones(l))
     try:
-        kernel, d = _eigen_space(B1, np.ones(l))
+        kernel, d = _eigen_space(fact.B1, ones)
     except (ValueError, NonConvergenceError) as exc:
         return IdealExistence(False, None, None, f"eigen-system failed: {exc}")
 

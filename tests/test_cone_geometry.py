@@ -220,6 +220,31 @@ class TestInteriorSubset:
     def test_outside_target_has_no_subset(self):
         assert interior_subset(np.eye(2), np.array([-1.0, 1.0])) == (None, None)
 
+    def test_short_vertex_support_falls_back_to_the_enumeration(self, monkeypatch):
+        # The LP vertex is (1, 1) on columns (2, 3), one column short of
+        # rank 3, so it is not classified; the first 3-subset in
+        # lexicographic order holds psi in its interior.
+        C = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+        psi = np.ones(3)
+        vertex = cone_geometry.linprog(np.ones(4), A_eq=C / np.linalg.norm(C, axis=0), b_eq=psi)
+        assert tuple(np.flatnonzero(vertex.x > 1e-9)) == (2, 3)
+        classified = []
+        real = cone_geometry.classify_membership
+
+        def recorded(vectors, b):
+            classified.append(vectors.copy())
+            return real(vectors, b)
+
+        monkeypatch.setattr(cone_geometry, "classify_membership", recorded)
+        subset, res = interior_subset(C, psi)
+        assert subset == (0, 1, 2)
+        assert res.verdict is Membership.INTERIOR
+        np.testing.assert_allclose(res.alpha, [1.0, 1.0, 1.0])
+        assert len(classified) == 1
+        np.testing.assert_array_equal(classified[0], C[:, [0, 1, 2]].T)
+        fam = positive_solution_family(C, psi)
+        assert (fam.subset, fam.free) == ((0, 1, 2), (3,))
+
 
 class TestNumericalRank:
     def test_rank_ignores_units(self, rng):

@@ -7,6 +7,7 @@ from tradequil import (
     DivisionGuardError,
     Factorization,
     InfeasibleError,
+    NonConvergenceError,
     PreconditionError,
     RankDeficiencyError,
     certify_consistency,
@@ -18,7 +19,7 @@ from tradequil import (
     solve_D,
     strictly_positive_solution,
 )
-from tradequil import cone_geometry
+from tradequil import cone_geometry, consistency
 
 
 def make_fact(B1, **overrides):
@@ -101,6 +102,48 @@ class TestFactorSupply:
             weak += 1
             np.testing.assert_array_equal(factor_supply(C, B).B1, cert.factorization.B1)
         assert weak >= 10
+
+
+    def test_supply_off_the_span_is_a_typed_error(self):
+        # rank(C) = 3, but the third row nearly repeats the mean of the first
+        # two, so supply off that mean leaves the span of C by 1.55e-8 of
+        # max|B|, above RESIDUAL_TOL: the shifted factor misses its residual
+        # check, which raises NonConvergenceError and declines every
+        # certificate.
+        C = np.array([[2.0, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0, 1.0],
+                      [1.5, 1.5, 1.0 + 5e-9, 1.0 - 5e-9, 1.0]])
+        B = C @ np.ones((5, 5)) + 3.0 * np.outer([-1.0, -1.0, 2.0], [1.0, -1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(NonConvergenceError) as caught:
+            factor_supply(C, B)
+        assert caught.value.residual > 1e-8 * np.abs(B).max()
+        assert certify_consistency(C, B).label == "none"
+
+
+class TestSupportStronglyConnected:
+    def test_fixed_cases(self):
+        connected = consistency._support_strongly_connected
+        assert not connected(np.array([[0.0]]), 1e-9)
+        assert connected(np.array([[0.5]]), 1e-9)
+        assert connected(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-9)  # a 2-cycle
+        # Agent 2 reaches the cycle of agents 0 and 1, which never reach it.
+        assert not connected(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                       [1.0, 1.0, 1.0]]), 1e-9)
+
+    def test_matches_scipy_strong_components(self, rng):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        verdicts = set()
+        for l in range(2, 22):
+            for density in (0.1, 0.2, 0.35):
+                for _ in range(5):
+                    B1 = rng.uniform(0.0, 1.0, (l, l)) * (rng.uniform(size=(l, l)) < density)
+                    count, _ = connected_components(csr_matrix(B1 > 1e-9), directed=True,
+                                                    connection="strong")
+                    got = consistency._support_strongly_connected(B1, 1e-9)
+                    assert got == (count == 1)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestCertifyConsistency:

@@ -39,6 +39,7 @@ class TestDirectSolves:
             assert sorted(record["ops"]) == ["certify_consistency", "certify_consistency_I",
                                              "exists_ideal", "factor_supply"]
             assert all(isinstance(v, str) and v for v in record["ops"].values())
+            assert (record["ideal_reason"] is None) == (record["ops"]["exists_ideal"] == "exists")
         assert "structure verdicts compared: 16, changed: 0" in run("--compare", out, out).stdout
         records[1]["ops"]["exists_ideal"] = "RankDeficiencyError"
         changed = tmp_path / "changed.jsonl"
@@ -58,6 +59,29 @@ class TestDirectSolves:
             "--compare", out, failed, status=1).stdout
         assert "rescued: structure seed 502 panel 0/2018: doctored" in run(
             "--compare", failed, out).stdout
+
+    def test_ideal_reason_is_listed_but_gates_only_with_exists(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        run("structure", 502, "--panels", 1, "--out", out)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert "ideal reasons compared: 4, changed: 0" in run("--compare", out, out).stdout
+        before = records[0]["ideal_reason"]
+        records[0].update(ideal_reason="doctored reason")
+        reason = tmp_path / "reason.jsonl"
+        reason.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = run("--compare", out, reason).stdout
+        assert "structure verdicts compared: 16, changed: 0" in report
+        assert "ideal reasons compared: 4, changed: 1" in report
+        assert ("reason changed: structure seed 502 panel 0/2016 exists_ideal: "
+                f"{before} → doctored reason") in report
+        was = records[0]["ops"]["exists_ideal"]
+        records[0]["ops"]["exists_ideal"] = flipped = "exists" if was == "no ideal" else "no ideal"
+        exists = tmp_path / "exists.jsonl"
+        exists.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = run("--compare", out, exists, status=1).stdout
+        assert "structure verdicts compared: 16, changed: 1" in report
+        assert ("verdict changed: structure seed 502 panel 0/2016 exists_ideal: "
+                f"{was} → {flipped}") in report
 
     def test_failures_are_counted_by_class(self, tmp_path):
         messages = [

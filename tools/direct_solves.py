@@ -16,16 +16,20 @@ two versions of the solver can be run on the same inputs. On ``structure``
 panels every successful solve is followed by the benchmark's four structure
 calls, ``certify_consistency`` without and with ``I``, ``factor_supply`` and
 ``exists_ideal``, and ``ops`` records the verdict of each: the label, the
-factor's mode, ``exists`` or the reason's first clause, or the class of the
-error raised. Their warnings are not counted in ``warnings``.
+factor's mode, ``exists`` or ``no ideal``, or the class of the error raised.
+``ideal_reason`` holds the first clause of the reason ``exists_ideal`` gives
+for ``no ideal`` (None otherwise). Their warnings are not counted in
+``warnings``.
 
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations, the solves'
 median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved,
 each side's failures by class (``FAILURE_CLASSES``, read from the message) and
-every structure verdict that differs where both files have one. It exits
-with status 1 when B fails a solve that A solved or changes a structure
-verdict, and 0 otherwise, so it can gate a change on its own.
+every structure verdict and every ``ideal_reason`` that differs where both
+files have one. It exits with status 1 when B fails a solve that A solved or
+changes a structure verdict, and 0 otherwise, so it can gate a change on its
+own. A changed reason alone does not gate: which step of ``exists_ideal``
+fails first may change while ``exists`` does not.
 """
 
 import os
@@ -63,18 +67,14 @@ def failure_class(message):
     return next((name for name, words in FAILURE_CLASSES if words in message), "other")
 
 
-def ideal_verdict(result):
-    """``exists``, or the first clause of the reason no ideal equilibrium exists."""
-    return "exists" if result.exists else result.reason.split(":")[0]
-
-
 def structure_verdicts(tradequil, C, B, clearing):
-    """The verdict of each of the benchmark's four structure calls."""
+    """The verdict of each of the benchmark's four structure calls, and the
+    first clause of the reason when ``exists_ideal`` finds no ideal equilibrium."""
     steps = (
         ("certify_consistency", lambda: tradequil.certify_consistency(C, B).label),
         ("certify_consistency_I", lambda: tradequil.certify_consistency(C, B, clearing).label),
         ("factor_supply", lambda: tradequil.factor_supply(C, B).mode),
-        ("exists_ideal", lambda: ideal_verdict(tradequil.exists_ideal(C, B))),
+        ("exists_ideal", lambda: tradequil.exists_ideal(C, B)),
     )
     verdicts = {}
     for name, run in steps:
@@ -82,7 +82,11 @@ def structure_verdicts(tradequil, C, B, clearing):
             verdicts[name] = run()
         except Exception as exc:  # a typed error is the verdict
             verdicts[name] = type(exc).__name__
-    return verdicts
+    ideal, reason = verdicts["exists_ideal"], None
+    if not isinstance(ideal, str):
+        verdicts["exists_ideal"] = "exists" if ideal.exists else "no ideal"
+        reason = None if ideal.exists else ideal.reason.split(":")[0]
+    return verdicts, reason
 
 
 def solve_records(kind, seeds, panels, src):
@@ -117,8 +121,8 @@ def solve_records(kind, seeds, panels, src):
                         record["seconds"] = time.perf_counter() - start
                     record["warnings"] = dict(Counter(w.category.__name__ for w in caught))
                     if kind == "structure" and record["ok"]:
-                        record["ops"] = structure_verdicts(tradequil, cm.C, cm.B,
-                                                           tuple(record["I"]))
+                        record["ops"], record["ideal_reason"] = structure_verdicts(
+                            tradequil, cm.C, cm.B, tuple(record["I"]))
                     yield record
 
 
@@ -192,6 +196,14 @@ def compare(path_a, path_b):
         for (kind, seed, panel, year), name, va, vb in flips:
             print(f"verdict changed: {kind} seed {seed} panel {panel}/{year} {name}: "
                   f"{va} → {vb}")
+    reasons = [(key, a[key]["ideal_reason"], b[key]["ideal_reason"])
+               for key in keys if "ideal_reason" in a[key] and "ideal_reason" in b[key]]
+    reason_changes = [r for r in reasons if r[1] != r[2]]
+    if reasons:
+        print(f"ideal reasons compared: {len(reasons)}, changed: {len(reason_changes)}")
+        for (kind, seed, panel, year), ra, rb in reason_changes:
+            print(f"reason changed: {kind} seed {seed} panel {panel}/{year} exists_ideal: "
+                  f"{ra} → {rb}")
     for key in keys:
         if a[key]["ok"] != b[key]["ok"]:
             kind, seed, panel, year = key
