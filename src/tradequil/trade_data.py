@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count, islice, repeat
 from math import isfinite
+from operator import eq
 
 import numpy as np
 
@@ -265,26 +267,139 @@ def _positions(labels, order):
 def read_flows_csv(path, year=None, countries=None, products=None):
     """Parse a flow CSV into one :class:`TradeFlowTensor` per year.
 
-    Expected header: ``year,reporter,partner,product,value``; blank rows
-    are skipped. All bad rows raise one :class:`SchemaError` whose ``rows``
-    pair the physical line on which each row ends (header = line 1) with
-    its first problem. Duplicate (year, reporter, partner, product) rows
-    are summed in file order. Given ``countries`` or ``products`` fix the
-    label order, must not repeat a label, and make labels outside them
-    schema errors; otherwise labels are ordered by first appearance,
-    reporter before partner. Nonzero self-flows are schema errors.
+    Expected header: ``year,reporter,partner,product,value``, after an
+    optional UTF-8 byte-order mark; blank rows are skipped. All bad rows
+    raise one :class:`SchemaError` whose ``rows`` pair the physical line on
+    which each row ends (header = line 1) with its first problem; a line the
+    ``csv`` module cannot read ends the file's problems. Duplicate (year,
+    reporter, partner, product) rows are summed in file order. Given
+    ``countries`` or ``products`` fix the label order, must not repeat a
+    label, and make labels outside them schema errors; otherwise labels are
+    ordered by first appearance, reporter before partner. Nonzero self-flows
+    are schema errors.
+
+    A file whose every line is a good row of five unquoted fields is parsed
+    a block of lines at a time. A file with a quote character, a blank line
+    or any bad row is read row by row, with the same results.
     """
     known_countries = None if countries is None else _unique_labels(
         countries, "countries", SchemaError)
     known_products = None if products is None else _unique_labels(
         products, "products", SchemaError)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        parsed = _read_plain(handle, year, known_countries, known_products)
+        if parsed is None:
+            handle.seek(0)
+            parsed = _read_rows(handle, year, known_countries, known_products)
+    years, country_order, product_order, codes, values = parsed
+    at_year, reporters, partners, at_product = codes
+    # Given universes keep their own order: move the first-appearance codes.
+    if countries:
+        countries = tuple(countries)
+        remap = _positions(country_order, countries)
+        reporters, partners = remap[reporters], remap[partners]
+    else:
+        countries = country_order
+    if products:
+        products = tuple(products)
+        at_product = _positions(product_order, products)[at_product]
+    else:
+        products = product_order
+    # One array for all years. np.add.at adds unbuffered in row order, so
+    # duplicate rows sum exactly as a running total per cell would.
+    flow = np.zeros((len(years), len(countries), len(countries), len(products)))
+    np.add.at(flow, (at_year, reporters, partners, at_product), values)
+    return {y: TradeFlowTensor(countries=countries, goods=products, flow=flow[t])
+            for t, y in enumerate(years)}
+
+
+# Lines parsed per block by the plain path: large enough that the per-block
+# calls cost little, small enough that a block's strings stay a few MB.
+BLOCK_LINES = 4096
+
+
+def _read_plain(handle, year, known_countries, known_products):
+    """Parse a file of plain rows with C-level ``str`` and ``map`` calls.
+
+    Returns ``(years, countries, products, codes, values)`` as
+    ``_read_rows`` does, or None, with ``handle`` partly read, when a line
+    has a quote character, other than four commas, or more characters than
+    ``csv.field_size_limit()``, when the header differs from ``CSV_HEADER``,
+    or when a row fails a check of ``_read_rows`` or none is kept. Only
+    ``_read_rows`` reports problems, so its line numbers and messages hold.
+    """
+    limit = csv.field_size_limit()
+    header = handle.readline()
+    if ('"' in header or len(header) > limit
+            or tuple(h.strip().lower() for h in header.split(",")) != CSV_HEADER):
+        return None
+    # A key's code is the number of keys looked up before it for the first
+    # time, so codes follow first appearance across blocks.
+    year_codes, country_codes, product_codes = (
+        defaultdict(count().__next__) for _ in range(3))
+    parts = []
+    while lines := list(islice(handle, BLOCK_LINES)):
+        if max(map(len, lines)) > limit or set(map(str.count, lines, repeat(","))) != {4}:
+            return None
+        # Each form of the block is dropped once the next one exists: the
+        # strings of one block are most of what the parse holds.
+        rows = len(lines)
+        text = "".join(lines)
+        del lines
+        if '"' in text:
+            return None
+        # Every line end becomes the fifth comma of its row; a last line
+        # without one leaves no empty field to drop.
+        fields = text.replace("\r\n", ",").replace("\r", ",").replace("\n", ",").split(",")
+        del text, fields[5 * rows:]
+        columns = [list(map(str.strip, fields[k::5])) for k in range(5)]
+        del fields
+        try:
+            columns[0] = list(map(int, columns[0]))
+            if year is not None:
+                keep = list(map(eq, columns[0], repeat(year)))
+                columns = [list(compress(column, keep)) for column in columns]
+            row_years, reporters, partners, row_products, raw_values = columns
+            values = np.fromiter(map(float, raw_values), float, len(raw_values))
+        except ValueError:
+            return None
+        if not (np.isfinite(values) & (values >= 0)).all():
+            return None
+        kept = len(values)
+        at_year = np.fromiter(map(year_codes.__getitem__, row_years), np.intp, kept)
+        pairs = np.fromiter(map(country_codes.__getitem__,
+                                chain.from_iterable(zip(reporters, partners))), np.intp, 2 * kept)
+        at_product = np.fromiter(map(product_codes.__getitem__, row_products), np.intp, kept)
+        if ((known_countries is not None and not country_codes.keys() <= known_countries)
+                or (known_products is not None and not product_codes.keys() <= known_products)):
+            return None
+        reporters, partners = pairs[0::2], pairs[1::2]
+        if ((reporters == partners) & (values != 0)).any():
+            return None
+        parts.append((at_year, reporters, partners, at_product, values))
+    if not year_codes:
+        return None
+    at_year, reporters, partners, at_product, values = map(np.concatenate, zip(*parts))
+    years = sorted(year_codes)
+    return (years, tuple(country_codes), tuple(product_codes),
+            (_positions(year_codes, years)[at_year], reporters, partners, at_product), values)
+
+
+def _read_rows(handle, year, known_countries, known_products):
+    """Parse a flow CSV row by row with the ``csv`` module.
+
+    This reads every file ``_read_plain`` declines, quoted fields included,
+    and raises every :class:`SchemaError` about the file's content. Returns the
+    sorted years, the countries and products in order of first appearance,
+    each row's codes into those three, and the values.
+    """
     # One list per field: the strings and numbers in them are not tracked by
     # the garbage collector, while a tuple per row would be, and the 22,400
     # of a G20 panel set off full collections.
     problems = []
     row_years, reporters, partners, row_products, values = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(handle)
+    try:
         header = next(reader, None)
         if header is None:
             raise SchemaError("empty file: expected header " + ",".join(CSV_HEADER),
@@ -329,21 +444,18 @@ def read_flows_csv(path, year=None, countries=None, products=None):
                 values.append(value)
                 continue
             problems.append((reader.line_num, problem))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        problems.append((reader.line_num, f"unreadable line: {exc}"))
 
     if problems:
         preview = "; ".join(f"line {ln}: {msg}" for ln, msg in problems[:5])
         raise SchemaError(f"{len(problems)} bad row(s): {preview}", rows=problems)
     if not values:
         raise SchemaError("no data rows" + (f" for year {year}" if year is not None else ""))
-
-    countries = tuple(countries or dict.fromkeys(chain.from_iterable(zip(reporters, partners))))
-    products = tuple(products or dict.fromkeys(row_products))
+    countries = tuple(dict.fromkeys(chain.from_iterable(zip(reporters, partners))))
+    products = tuple(dict.fromkeys(row_products))
     years = sorted(set(row_years))
-    # One array for all years. np.add.at adds unbuffered in row order, so
-    # duplicate rows sum exactly as a running total per cell would.
-    flow = np.zeros((len(years), len(countries), len(countries), len(products)))
-    np.add.at(flow, (_positions(row_years, years), _positions(reporters, countries),
-                     _positions(partners, countries), _positions(row_products, products)),
-              values)
-    return {y: TradeFlowTensor(countries=countries, goods=products, flow=flow[t])
-            for t, y in enumerate(years)}
+    return (years, countries, products,
+            (_positions(row_years, years), _positions(reporters, countries),
+             _positions(partners, countries), _positions(row_products, products)),
+            values)

@@ -47,6 +47,13 @@ class TestIngest:
         csv_path = write_csv(tmp_path, "")
         assert run("ingest", "--input", csv_path, "--out", tmp_path / "o") == EXIT_INPUT
 
+    def test_field_over_the_csv_limit_is_input_error(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path, TOY_CSV + "2020,a,b,g," + "0" * 139_999 + "1\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--input", csv_path, "--out", out) == EXIT_INPUT
+        assert "line 4: unreadable line: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_country_label_is_input_error(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path)
         out = tmp_path / "out"

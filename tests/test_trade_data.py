@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from tradequil import (
     build_cost_matrices,
     read_flows_csv,
     shares,
+    trade_data,
 )
+from tradequil.trade_data import BLOCK_LINES
 
 
 def tensor(countries, goods, flow):
@@ -284,6 +287,37 @@ class TestCsv:
         with pytest.raises(SchemaError, match=f"^no data rows for year {year}$"):
             read_flows_csv(path, year=year)
 
+    @pytest.mark.parametrize("text", [
+        "year,reporter,partner,product,value\n2020,a,b,g,3\n2020,b,a,g,5\n",
+        'year,reporter,partner,product,value\n2020,"a",b,g,3\n2020,b,a,g,5\n',
+    ], ids=["plain", "quoted"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain = self.write(tmp_path, text)
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert same_tensors(read_flows_csv(marked), read_flows_csv(plain))
+
+    def test_field_over_the_csv_limit_is_schema_error(self, tmp_path):
+        path = self.write(tmp_path, "year,reporter,partner,product,value\n"
+                                    "2020,a,b,g,x\n"
+                                    "2020,a,b,g," + "0" * 139_999 + "1\n")
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path)
+        assert [line for line, _ in err.value.rows] == [2, 3]
+        assert err.value.rows[1][1].startswith("unreadable line: field larger than field limit")
+
+    @pytest.mark.parametrize("label", ["a,x", "a"])
+    def test_quoted_label_is_read_row_by_row(self, tmp_path, label):
+        path = self.write(tmp_path, "year,reporter,partner,product,value\n"
+                                    f'2020,"{label}",b,g,3\n'
+                                    f'2020,b,"{label}",g,5\n')
+        with mock.patch.object(trade_data, "_read_rows", wraps=trade_data._read_rows) as rows:
+            tensors = read_flows_csv(path)
+        assert rows.call_count == 1
+        assert tensors[2020].countries == (label, "b")
+        assert tensors[2020].flow[:, :, 0].tolist() == [[0.0, 3.0], [5.0, 0.0]]
+
     def test_line_numbers_are_physical_after_a_multi_line_field(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -321,6 +355,14 @@ class TestCsv:
         ("2020,a,a,qq,3", "unknown product 'qq'"),
         ("2020,a,a,g,3", "self-flow for 'a'"),
     ]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999", "-1"])
+    def test_negative_or_non_finite_value_is_a_bad_row(self, tmp_path, value):
+        path = self.write(tmp_path, f"year,reporter,partner,product,value\n"
+                                    f"2020,a,b,g,1\n2020,b,a,g,{value}\n")
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path)
+        assert err.value.rows == [(3, f"negative or non-finite value {float(value)!r}")]
 
     @pytest.mark.parametrize("row, problem", MULTI_PROBLEM_ROWS)
     def test_row_reports_only_its_first_problem(self, tmp_path, row, problem):
@@ -446,3 +488,103 @@ def test_reader_matches_reference(tmp_path_factory, case):
     for y, (countries, goods, flow) in expected.items():
         assert (tensors[y].countries, tensors[y].goods) == (countries, goods)
         assert tensors[y].flow.tobytes() == flow
+
+
+def same_tensors(left, right):
+    """Whether two ``read_flows_csv`` results hold the same years, labels and bytes."""
+    return list(left) == list(right) and all(
+        (left[y].countries, left[y].goods, left[y].flow.tobytes())
+        == (right[y].countries, right[y].goods, right[y].flow.tobytes()) for y in left)
+
+
+def read_row_by_row(path, **kwargs):
+    """``read_flows_csv`` with its plain path turned off."""
+    with mock.patch.object(trade_data, "_read_plain", return_value=None):
+        return read_flows_csv(path, **kwargs)
+
+
+def read_without_the_row_loop(path, **kwargs):
+    """``read_flows_csv`` failing if the plain path declines the file."""
+    with mock.patch.object(trade_data, "_read_rows", side_effect=AssertionError("row loop")):
+        return read_flows_csv(path, **kwargs)
+
+
+@st.composite
+def plain_flow_csvs(draw):
+    """CSV text that the plain path must read: good rows only, with padded
+    cells, zero self-flows, duplicates, years out of order and mixed line
+    ends, plus keyword arguments whose universes hold every label and whose
+    year has a row."""
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        row_year = draw(st.sampled_from(YEARS))
+        reporter, partner = draw(st.permutations(COUNTRIES))[:2]
+        if draw(st.integers(0, 9)) == 0:  # before a row of two countries
+            rows.append((row_year, partner, partner, draw(st.sampled_from(PRODUCTS)),
+                         draw(st.sampled_from([0.0, -0.0]))))
+        value = draw(st.floats(0, 1e6) | st.sampled_from([0.0, -0.0, 0.1, 0.2, 1e-300]))
+        rows.append((row_year, reporter, partner, draw(st.sampled_from(PRODUCTS)), value))
+    lines = ["year,reporter,partner,product,value"] + [
+        ",".join(draw(pad) + str(cell) + draw(pad) for cell in row) for row in rows]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    kwargs = {
+        "year": draw(st.none() | st.sampled_from([row[0] for row in rows])),
+        # Universes may hold an unused label.
+        "countries": draw(st.none() | st.permutations(COUNTRIES + ("d",))
+                          | st.permutations(COUNTRIES)),
+        "products": draw(st.none() | st.permutations(PRODUCTS + ("k",))
+                         | st.permutations(PRODUCTS)),
+    }
+    return text, kwargs
+
+
+@given(plain_flow_csvs())
+@settings(max_examples=150, deadline=None)
+def test_plain_files_are_read_without_the_row_loop(tmp_path_factory, case):
+    text, kwargs = case
+    path = tmp_path_factory.mktemp("csv") / "flows.csv"
+    path.write_bytes(text.encode())
+    expected = reference_read(path, **kwargs)
+    tensors = read_without_the_row_loop(path, **kwargs)
+    assert list(tensors) == list(expected)
+    for y, (countries, goods, flow) in expected.items():
+        assert (tensors[y].countries, tensors[y].goods) == (countries, goods)
+        assert tensors[y].flow.tobytes() == flow
+
+
+class TestBlocks:
+    ROWS = 2 * BLOCK_LINES + 3
+
+    def write(self, tmp_path, last_row=None):
+        """``ROWS`` rows over three years, ten countries and four products,
+        with ``last_row`` in place of the last; returns its path."""
+        rows = [f"{2016 + i % 3},c{i % 10},c{(i + 1 + i // 10 % 9) % 10},g{i % 4},{i % 997 + 0.25}"
+                for i in range(self.ROWS)]
+        if last_row is not None:
+            rows[-1] = last_row
+        path = tmp_path / "flows.csv"
+        path.write_text("year,reporter,partner,product,value\n" + "\n".join(rows) + "\n")
+        return path
+
+    def test_clean_file_gives_the_row_loops_bytes(self, tmp_path):
+        path = self.write(tmp_path)
+        tensors = read_without_the_row_loop(path)
+        assert list(tensors) == [2016, 2017, 2018]
+        assert same_tensors(tensors, read_row_by_row(path))
+        assert same_tensors(read_without_the_row_loop(path, year=2017),
+                            read_row_by_row(path, year=2017))
+
+    def test_bad_row_in_the_last_block_gives_the_row_loops_error(self, tmp_path):
+        path = self.write(tmp_path, last_row="2017,c1,c2,g0,oops")
+        with pytest.raises(SchemaError) as err:
+            read_flows_csv(path)
+        assert err.value.rows == [(self.ROWS + 1, "bad value 'oops'")]
+        with pytest.raises(SchemaError) as row_by_row:
+            read_row_by_row(path)
+        assert row_by_row.value.rows == err.value.rows
