@@ -186,6 +186,23 @@ def as_vector(a, name="vector"):
     return v
 
 
+def as_economy(C, B, p=None):
+    """``(C, B)``, or ``(C, B, p)`` when prices are given: both matrices through
+    :func:`as_matrix` and of one shape, ``p`` (or a price object's ``p``)
+    through :func:`as_vector` with one price per good. Raises ValueError
+    naming the shapes that disagree."""
+    C, B = as_matrix(C, "C"), as_matrix(B, "B")
+    if C.shape != B.shape:
+        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    if p is None:
+        return C, B
+    p = as_vector(getattr(p, "p", p), "p")
+    if p.shape[0] != C.shape[0]:
+        raise ValueError(f"p has length {p.shape[0]}, expected {C.shape[0]} "
+                         f"goods for C and B of shape {C.shape}")
+    return C, B, p
+
+
 def unit_columns(a):
     """``(a / norms, norms)`` with every nonzero column of ``a`` scaled to unit
     2-norm; zero columns are left as they are (their norm is reported as 1)."""

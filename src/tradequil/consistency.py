@@ -7,9 +7,10 @@ sums) decides whether a market-clearing price vector exists; the route to
 that price runs through a strictly positive eigenvector ``d`` of the
 factor and a nonnegative solve of ``C.T @ p = d``. ``d`` is read off the
 kernel of ``B1.T - diag(y)``, computed once by a singular value
-decomposition; nothing on the route iterates. The same route decides
-whether an ideal equilibrium exists: prices at which every agent's trade
-balance vanishes.
+decomposition; nothing on the route iterates. Whether an ideal
+equilibrium exists, prices at which every agent's trade balance vanishes, is
+decided without a factor: one linear program states the question directly,
+and :func:`check_ideal` verifies the prices it finds.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from ._numerics import (
     EIG_TOL,
     RESIDUAL_TOL,
     ROUNDING,
+    as_economy,
     as_matrix,
     as_vector,
     linprog,
@@ -172,10 +174,7 @@ def factor_supply(C, B) -> Factorization:
     and ``NonConvergenceError`` (with ``residual``) when ``B - C @ B1``
     fails the residual check, as it does when supply leaves the span of ``C``.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    if C.shape != B.shape:
-        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    C, B = as_economy(C, B)
     n, l = C.shape
     if l < n:
         raise ValueError(f"need at least as many agents as goods, got {n}x{l}")
@@ -250,10 +249,7 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
     certified factor has its residual verified. ``none`` is a valid
     outcome, not an error.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    if C.shape != B.shape:
-        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    C, B = as_economy(C, B)
     n = C.shape[0]
     if I is not None:
         I = tuple(sorted(int(k) for k in I))
@@ -354,8 +350,7 @@ def solve_D(fact: Factorization, y=None) -> DVector:
             "eigen-system ratio is undefined",
             agent=int(bad[0]),
         )
-    _, d = _eigen_space(np.asarray(fact.B1, dtype=float), y)
-    return DVector(d=d)
+    return DVector(d=_eigen_space(np.asarray(fact.B1, dtype=float), y))
 
 
 def _eig_residual(B1, y, d):
@@ -364,8 +359,8 @@ def _eig_residual(B1, y, d):
 
 
 def _eigen_space(B1, y):
-    """Kernel of ``B1.T - diag(y)`` and a verified strictly positive ``d``
-    in it with ``sum(d) = l``.
+    """A verified strictly positive ``d`` in the kernel of ``B1.T - diag(y)``
+    with ``sum(d) = l``.
 
     The kernel is cut off absolutely, at ``ROUNDING * max(1, max|B1|,
     max|y|)``: a relative cutoff fails when the matrix itself is numerical
@@ -388,13 +383,12 @@ def _eigen_space(B1, y):
                 detail={"kernel": kernel},
             )
     else:
-        found = _positive_kernel_vector(kernel)
-        if found is None:
+        d = _positive_kernel_vector(kernel)
+        if d is None:
             raise InfeasibleError(
                 "the eigen-space contains no strictly positive vector",
                 detail={"kernel": kernel},
             )
-        d = found[0]
     d = d * (l / d.sum())
 
     residual = _eig_residual(B1, y, d)
@@ -408,35 +402,27 @@ def _eigen_space(B1, y):
             "eigen-system solution is not strictly positive",
             detail={"d": d},
         )
-    return kernel, d
+    return d
 
 
-def _positive_kernel_vector(kernel, C=None):
+def _positive_kernel_vector(kernel):
     """Strictly positive ``d = kernel @ w`` with ``sum(d) = l``, by one linear
-    program maximizing the smallest component of ``d``; given ``C``, also
-    ``d = C.T @ p`` with ``p >= 0``. Returns ``(d, p)`` (``p`` empty without
-    ``C``) or None.
-    """
+    program maximizing the smallest component of ``d``, or None."""
     l, dim = kernel.shape
-    n = 0 if C is None else C.shape[0]
-    # Variables: (p_1..p_n, w_1..w_dim, mu); maximize mu.
-    cost = np.zeros(n + dim + 1)
+    # Variables: (w_1..w_dim, mu); maximize mu.
+    cost = np.zeros(dim + 1)
     cost[-1] = -1.0
-    A_ub = np.hstack([np.zeros((l, n)), -kernel, np.ones((l, 1))])
-    b_ub = np.zeros(l)
-    A_eq = np.hstack([np.zeros(n), kernel.sum(axis=0), np.zeros(1)])[None, :]
-    b_eq = np.array([float(l)])
-    if C is not None:
-        A_eq = np.vstack([np.hstack([C.T, -kernel, np.zeros((l, 1))]), A_eq])
-        b_eq = np.append(np.zeros(l), float(l))
-    bounds = [(0, None)] * n + [(None, None)] * dim + [(0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    A_ub = np.hstack([-kernel, np.ones((l, 1))])
+    A_eq = np.append(kernel.sum(axis=0), 0.0)[None, :]
+    bounds = [(None, None)] * dim + [(0, None)]
+    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(l), A_eq=A_eq, b_eq=[float(l)],
+                  bounds=bounds)
     if not res.success or res.x is None or res.x[-1] <= ROUNDING:
         return None
-    d = kernel @ res.x[n:n + dim]
+    d = kernel @ res.x[:dim]
     if np.any(d <= 0):
         return None
-    return d, res.x[:n]
+    return d
 
 
 def price_from_D(C, d) -> PriceRecovery:
@@ -466,9 +452,7 @@ def check_ideal(C, B, p) -> IdealCheck:
     Balances are compared against ``RESIDUAL_TOL * <p, C_i>``; a nonpositive
     demand cost for any agent disqualifies the state.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    p = as_vector(getattr(p, "p", p), "p")
+    C, B, p = as_economy(C, B, p)
     if np.any(p < 0) or not np.any(p > 0):
         raise ValueError("p must be nonnegative and nonzero")
     demand_cost = C.T @ p
@@ -487,15 +471,15 @@ def check_ideal(C, B, p) -> IdealCheck:
 def exists_ideal(C, B) -> IdealExistence:
     """Decide whether prices zeroing every trade balance exist.
 
-    Requires the aggregate balance to vanish. Takes the least-squares factor
-    of ``B = C @ B1`` with its row sums pinned to one, then the unit-ratio
-    eigen-system and the nonnegative price recovery; all three must succeed,
-    and the prices found must pass :func:`check_ideal`.
+    Requires the aggregate balance to vanish. One linear program on ``C`` and
+    ``B`` divided by their magnitude, so that the verdict does not depend on
+    the currency unit, looks for ``p >= 0`` with ``B.T @ p = C.T @ p`` and
+    ``sum(C.T @ p) = l`` that maximizes the smallest demand cost; an ideal
+    equilibrium exists when that cost is positive and the prices found pass
+    :func:`check_ideal`. ``d = C.T @ p0`` then solves ``B1.T @ d = d`` for
+    every factor ``B = C @ B1`` with unit row sums. No verdict raises.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    if C.shape != B.shape:
-        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    C, B = as_economy(C, B)
     supply, demand = B.sum(axis=1), C.sum(axis=1)
     gap = magnitude(supply - demand)
     if gap > BASE_TOL * magnitude(supply, demand):
@@ -504,39 +488,29 @@ def exists_ideal(C, B) -> IdealExistence:
             f"(worst gap {gap:.3e})",
             condition="zero_aggregate_balance",
         )
-    # Row sums of any factor satisfy C @ (row_sums - 1) = 0 here; pin them
-    # to exactly one so the unit-ratio eigen-system is the right one.
-    ones = np.ones(C.shape[1])
-    fact = _shifted_factor(C, B, ones)
-    if not _residual_ok(fact, B):
-        return IdealExistence(
-            False, None, None, "factorization failed: supply leaves the span of C"
-        )
-    try:
-        kernel, d = _eigen_space(fact.B1, ones)
-    except (ValueError, NonConvergenceError) as exc:
-        return IdealExistence(False, None, None, f"eigen-system failed: {exc}")
-
-    recovery = price_from_D(C, d)
-    p0 = recovery.p0
-    if not recovery:
-        # A one-dimensional eigen-space holds no other positive d; a larger
-        # one may hold one inside the row cone, so search it before giving up.
-        found = _positive_kernel_vector(kernel, C) if kernel.shape[1] > 1 else None
-        if found is None:
-            return IdealExistence(
-                False, None, d, "d lies outside the cone of the rows of C"
-            )
-        d, p0 = found
+    n, l = C.shape
+    scale = magnitude(C, B) or 1.0
+    C_hat, B_hat = C / scale, B / scale
+    # Variables: (p_1..p_n, t); maximize t, the smallest demand cost.
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    A_eq = np.vstack([np.hstack([(B_hat - C_hat).T, np.zeros((l, 1))]),
+                      np.append(C_hat.sum(axis=1), 0.0)])
+    res = linprog(cost, A_ub=np.hstack([-C_hat.T, np.ones((l, 1))]), b_ub=np.zeros(l),
+                  A_eq=A_eq, b_eq=np.append(np.zeros(l), float(l)),
+                  bounds=[(0, None)] * n + [(0, 1)],
+                  options={"primal_feasibility_tolerance": BASE_TOL})
+    if res.status == 2 or (res.success and res.x[-1] <= BASE_TOL):
+        return IdealExistence(False, None, None, "no nonnegative prices zero every "
+                              "balance at positive demand costs")
+    if not res.success:
+        return IdealExistence(False, None, None, f"price program failed: {res.message}")
+    p0 = np.maximum(res.x[:n], 0.0) / scale
+    d = C.T @ p0
     verdict = check_ideal(C, B, p0)
     if not verdict.ideal:
-        return IdealExistence(
-            False,
-            p0,
-            d,
-            f"recovered prices leave agent {verdict.worst_agent} with "
-            f"balance {verdict.worst_balance:.3e}",
-        )
+        return IdealExistence(False, p0, d, f"program prices leave agent {verdict.worst_agent} "
+                              f"with balance {verdict.worst_balance:.3e}")
     return IdealExistence(True, p0, d, None)
 
 

@@ -29,7 +29,7 @@ from ._numerics import (
     DEFAULT_TOL_INNER,
     RESIDUAL_TOL,
     ROUNDING,
-    as_matrix,
+    as_economy,
     as_vector,
 )
 from .errors import (
@@ -176,9 +176,7 @@ def demand_weights(C, B, p):
 
 def excess_demand(C, B, p):
     """Componentwise demand minus aggregate supply at prices ``p``."""
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    p = p.p if isinstance(p, PriceVector) else as_vector(p, "p")
+    C, B, p = as_economy(C, B, p)
     psi = B.sum(axis=1)
     return C @ demand_weights(C, B, p) - psi
 
@@ -189,8 +187,7 @@ def is_equilibrium(C, B, p, tol=DEFAULT_TOL) -> EquilibriumCheck:
     Good ``k`` violates them when its excess demand exceeds ``tol * psi_k``
     and clears when the excess is at most that in absolute value.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
+    C, B, p = as_economy(C, B, p)
     excess = excess_demand(C, B, p)
     tolvec = tol * B.sum(axis=1)
     violations = tuple(
@@ -362,10 +359,7 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL,
     positive row and column sums is accepted with a warning) and positive
     aggregate supply for every good.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    if C.shape != B.shape:
-        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    C, B = as_economy(C, B)
     if np.any(C < 0) or np.any(B < 0):
         raise ValueError("C and B must be nonnegative")
     psi = B.sum(axis=1)
@@ -473,9 +467,7 @@ def evaluate_solution(C, B, p, tol=DEFAULT_TOL) -> EquilibriumSolution:
     carry ``iterations=0``, ``final_epsilon=0.0`` and ``residual=0.0`` to
     mark that no fixed-point iteration produced them.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    p = p.p if isinstance(p, PriceVector) else as_vector(p, "p")
+    C, B, p = as_economy(C, B, p)
     check = is_equilibrium(C, B, p, tol=tol)
     if not check.ok:
         raise PreconditionError(

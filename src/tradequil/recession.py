@@ -16,6 +16,7 @@ from ._numerics import (
     DEFAULT_TOL,
     RESIDUAL_TOL,
     ROUNDING,
+    as_economy,
     as_matrix,
     as_vector,
     magnitude,
@@ -88,10 +89,7 @@ def modified_supply(C, B, y, clearing_set):
     agent ``i`` becomes ``y_i * c_ki``, so incomes are unchanged for any
     price supported on the clearing set.
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    if C.shape != B.shape:
-        raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+    C, B = as_economy(C, B)
     y = as_vector(y, "y")
     idx, _ = _split_goods(clearing_set, C.shape[0])
     B0 = C * y[None, :]
@@ -190,9 +188,8 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
     that prices off the clearing set leave the modified-supply market
     unchanged (the degeneracy freedom that motivates the multiplicity).
     """
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    check = is_equilibrium(C, B, solution.p0.p, tol=tol)
+    C, B, p = as_economy(C, B, solution.p0)
+    check = is_equilibrium(C, B, p, tol=tol)
     if not check.ok:
         raise PreconditionError(
             "solution no longer passes the equilibrium check against C, B",
@@ -204,7 +201,7 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
     # Price supported exactly on the clearing set; the solver leaves at
     # most a vanishing mass elsewhere.
     p_support = np.zeros(n)
-    p_support[idx] = solution.p0.p[idx]
+    p_support[idx] = p[idx]
     total = p_support.sum()
     if total <= 0:
         raise PreconditionError(

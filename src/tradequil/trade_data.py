@@ -17,7 +17,7 @@ from operator import eq
 
 import numpy as np
 
-from ._numerics import BASE_TOL, as_matrix, magnitude
+from ._numerics import BASE_TOL, as_economy, magnitude
 from .errors import EmptyMatrixError, InvalidFlowError, SchemaError
 
 CSV_HEADER = ("year", "reporter", "partner", "product", "value")
@@ -102,10 +102,7 @@ class CostMatrices:
         ``balance_mode="warn"`` a nonzero aggregate balance is reported as a
         warning instead of an error.
         """
-        C = as_matrix(C, "C")
-        B = as_matrix(B, "B")
-        if C.shape != B.shape:
-            raise ValueError(f"C shape {C.shape} != B shape {B.shape}")
+        C, B = as_economy(C, B)
         if np.any(C < 0) or np.any(B < 0):
             raise ValueError("C and B must be nonnegative")
         n, l = C.shape
@@ -267,8 +264,9 @@ def _positions(labels, order):
 def read_flows_csv(path, year=None, countries=None, products=None):
     """Parse a flow CSV into one :class:`TradeFlowTensor` per year.
 
-    Expected header: ``year,reporter,partner,product,value``, after an
-    optional UTF-8 byte-order mark; blank rows are skipped. All bad rows
+    The file must be UTF-8 text. Expected header:
+    ``year,reporter,partner,product,value``, after an optional UTF-8
+    byte-order mark; blank rows are skipped. All bad rows
     raise one :class:`SchemaError` whose ``rows`` pair the physical line on
     which each row ends (header = line 1) with its first problem; a line the
     ``csv`` module cannot read ends the file's problems. Duplicate (year,
@@ -286,11 +284,16 @@ def read_flows_csv(path, year=None, countries=None, products=None):
         countries, "countries", SchemaError)
     known_products = None if products is None else _unique_labels(
         products, "products", SchemaError)
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        parsed = _read_plain(handle, year, known_countries, known_products)
-        if parsed is None:
-            handle.seek(0)
-            parsed = _read_rows(handle, year, known_countries, known_products)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            parsed = _read_plain(handle, year, known_countries, known_products)
+            if parsed is None:
+                handle.seek(0)
+                parsed = _read_rows(handle, year, known_countries, known_products)
+    except UnicodeDecodeError as exc:
+        line = _first_line_not_utf8(path)
+        raise SchemaError(f"line {line}: not UTF-8 text ({exc.reason}); save the file "
+                          "as UTF-8", rows=[(line, "not UTF-8")]) from None
     years, country_order, product_order, codes, values = parsed
     at_year, reporters, partners, at_product = codes
     # Given universes keep their own order: move the first-appearance codes.
@@ -311,6 +314,16 @@ def read_flows_csv(path, year=None, countries=None, products=None):
     np.add.at(flow, (at_year, reporters, partners, at_product), values)
     return {y: TradeFlowTensor(countries=countries, goods=products, flow=flow[t])
             for t, y in enumerate(years)}
+
+
+def _first_line_not_utf8(path):
+    """The 1-based physical line of the first byte of ``path`` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len((data[:exc.start] + b".").splitlines())
 
 
 # Lines parsed per block by the plain path: large enough that the per-block

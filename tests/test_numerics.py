@@ -36,6 +36,23 @@ def sparse_uniform(rng, shape, zeros=0.3):
     return a
 
 
+def price_program(rng, n, l):
+    """exists_ideal's LP on a balanced economy: p >= 0 and 0 <= t <= 1,
+    maximize t subject to (B - C).T p = 0, sum(C.T p) = l and C.T p >= t."""
+    C = sparse_uniform(rng, (n, l))
+    B = sparse_uniform(rng, (n, l)) + 1e-3
+    B = B * (C.sum(axis=1) / B.sum(axis=1))[:, None]
+    scale = max(C.max(), B.max())
+    C, B = C / scale, B / scale
+    A_eq = np.vstack([np.hstack([(B - C).T, np.zeros((l, 1))]),
+                      np.append(C.sum(axis=1), 0.0)])
+    return dict(c=np.append(np.zeros(n), -1.0),
+                A_ub=np.hstack([-C.T, np.ones((l, 1))]), b_ub=np.zeros(l),
+                A_eq=A_eq, b_eq=np.append(np.zeros(l), float(l)),
+                bounds=[(0, None)] * n + [(0, 1)],
+                options={"primal_feasibility_tolerance": BASE_TOL})
+
+
 class TestAgreesWithScipy:
     def test_equality_rows_with_nonnegative_columns(self, rng):
         # interior_subset: a vertex of {z >= 0 : A z = b}, some b outside the cone.
@@ -68,8 +85,9 @@ class TestAgreesWithScipy:
         assert statuses == {0, 2}
 
     def test_mixed_rows_with_free_columns(self, rng):
-        # _positive_kernel_vector: p >= 0, free w, mu >= 0; maximize mu subject
-        # to mu <= kernel @ w, C.T p = kernel @ w and sum(kernel @ w) = l.
+        # Free columns w next to nonnegative ones p, coupled by equality rows:
+        # maximize mu >= 0 subject to mu <= kernel @ w, C.T p = kernel @ w and
+        # sum(kernel @ w) = l. Without p this is _positive_kernel_vector's LP.
         for _ in range(40):
             n, l, dim = rng.integers(2, 6), rng.integers(2, 8), rng.integers(1, 3)
             C = sparse_uniform(rng, (n, l))
@@ -81,6 +99,13 @@ class TestAgreesWithScipy:
             assert_same(c=cost, A_ub=np.hstack([np.zeros((l, n)), -kernel, np.ones((l, 1))]),
                         b_ub=np.zeros(l), A_eq=A_eq, b_eq=np.append(np.zeros(l), float(l)),
                         bounds=[(0, None)] * n + [(None, None)] * dim + [(0, None)])
+
+    def test_price_program_shape(self, rng):
+        statuses = set()
+        for _ in range(40):
+            n, l = rng.integers(1, 5), rng.integers(2, 7)
+            statuses.add(assert_same(**price_program(rng, n, l)).status)
+        assert statuses == {0, 2}
 
     def test_inequality_rows_only(self, rng):
         for _ in range(20):
@@ -146,7 +171,8 @@ def mixed_problems():
                  dict(MISSED, options={"primal_feasibility_tolerance": 1e-2}), MISSED]
     problems.append(dict(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0]))  # infeasible
     problems.append(dict(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0]))  # unbounded
-    n, l = 3, 5  # _positive_kernel_vector, with free columns
+    problems.append(price_program(rng, 3, 4))  # equality and inequality rows, bounded t
+    n, l = 3, 5  # free columns next to nonnegative ones
     C, kernel = sparse_uniform(rng, (n, l)), rng.normal(size=(l, 2))
     problems.append(dict(
         c=np.append(np.zeros(n + 2), -1.0),

@@ -298,6 +298,17 @@ class TestCsv:
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
         assert same_tensors(read_flows_csv(marked), read_flows_csv(plain))
 
+    @pytest.mark.parametrize("label, end", [("FRA", "\n"), ("FRA", "\r\n"), ('"FRA"', "\n")],
+                             ids=["plain", "crlf", "quoted"])
+    def test_latin_1_byte_names_its_line(self, tmp_path, label, end):
+        path = tmp_path / "flows.csv"
+        lines = ["year,reporter,partner,product,value", f"2016,{label},DEU,01,5",
+                 "2016,Côte,FRA,01,5", "2016,DEU,FRA,01,2"]
+        path.write_bytes(end.join(lines).encode("latin-1") + end.encode())
+        with pytest.raises(SchemaError, match="^line 3: not UTF-8 text") as err:
+            read_flows_csv(path)
+        assert err.value.rows == [(3, "not UTF-8")]
+
     def test_field_over_the_csv_limit_is_schema_error(self, tmp_path):
         path = self.write(tmp_path, "year,reporter,partner,product,value\n"
                                     "2020,a,b,g,x\n"

@@ -28,8 +28,8 @@ each side's failures by class (``FAILURE_CLASSES``, read from the message) and
 every structure verdict and every ``ideal_reason`` that differs where both
 files have one. It exits with status 1 when B fails a solve that A solved or
 changes a structure verdict, and 0 otherwise, so it can gate a change on its
-own. A changed reason alone does not gate: which step of ``exists_ideal``
-fails first may change while ``exists`` does not.
+own. A changed reason alone does not gate: the wording of a reason may
+change while ``exists`` does not.
 """
 
 import os
