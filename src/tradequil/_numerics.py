@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import PreconditionError, RankDeficiencyError
 
 # The tolerance policy. Every tolerance is relative: a quantity that carries
 # currency units is compared with ``TOL * magnitude(data it came from)``, never
@@ -177,13 +177,33 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def as_vector(a, name="vector"):
+def as_vector(a, name="vector", length=None):
+    """``a`` as a finite float vector; with ``length``, of that many entries
+    (a ValueError names both lengths otherwise)."""
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
+    if length is not None and v.shape[0] != length:
+        raise ValueError(f"{name} has length {v.shape[0]}, expected {length}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def clearing_subset(I, n):
+    """The clearing subset ``I`` of ``n`` goods as a sorted tuple of indices.
+
+    Raises PreconditionError (a ValueError) when ``I`` is empty, and
+    ValueError when it names a good outside ``range(n)`` or a good twice.
+    """
+    idx = tuple(sorted(int(k) for k in I))
+    if not idx:
+        raise PreconditionError("clearing set must be nonempty", condition="nonempty_I")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise ValueError(f"clearing set {idx} out of range for {n} goods")
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"clearing set {idx} names a good more than once")
+    return idx
 
 
 def as_economy(C, B, p=None):

@@ -5,12 +5,15 @@ factors through the demand matrix, ``B = C @ B1``. The quality of the
 factor (nonnegative and indecomposable, or merely with nonnegative row
 sums) decides whether a market-clearing price vector exists; the route to
 that price runs through a strictly positive eigenvector ``d`` of the
-factor and a nonnegative solve of ``C.T @ p = d``. ``d`` is read off the
-kernel of ``B1.T - diag(y)``, computed once by a singular value
-decomposition; nothing on the route iterates. Whether an ideal
+factor and a nonnegative solve of ``C.T @ p = d``. Whether an ideal
 equilibrium exists, prices at which every agent's trade balance vanishes, is
-decided without a factor: one linear program states the question directly,
-and :func:`check_ideal` verifies the prices it finds.
+decided without a factor, and :func:`check_ideal` verifies the prices found.
+
+Every positive vector the module needs, ``d``, the ideal prices and the row
+sums of a rank-``|I|`` factor, comes from one linear program of one shape,
+:func:`_max_smallest`: maximize the smallest slack of a set of inequality
+rows over nonnegative solutions of a set of equality rows, on dimensionless
+data so that no verdict depends on the currency unit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from ._numerics import (
     as_economy,
     as_matrix,
     as_vector,
+    clearing_subset,
     linprog,
     magnitude,
     nnls_solve,
@@ -252,11 +256,7 @@ def certify_consistency(C, B, I=None) -> ConsistencyCertificate:
     C, B = as_economy(C, B)
     n = C.shape[0]
     if I is not None:
-        I = tuple(sorted(int(k) for k in I))
-        if not I:
-            raise ValueError("clearing subset I must be nonempty")
-        if I[0] < 0 or I[-1] >= n:
-            raise ValueError(f"clearing subset {I} out of range for {n} goods")
+        I = clearing_subset(I, n)
 
     blocks = (None,) if I is None or len(I) == n else (None, I)
     for strict in (True, False):
@@ -308,41 +308,65 @@ def _side_margin(C, B, I, y):
 
 
 def _clearing_row_sums(C, B, I):
-    """y >= 0 with C_I y = psi_I and maximal slack on the off-I inequalities."""
-    n, l = C.shape
+    """y >= 0 with C_I y = psi_I and maximal slack on the off-I inequalities
+    ``C_off y <= psi_off``, or None unless that slack is positive. The program
+    runs on ``C`` and ``psi`` divided by the largest supply."""
     rows = list(I)
-    off = [k for k in range(n) if k not in set(I)]
+    off = [k for k in range(C.shape[0]) if k not in set(I)]
     psi = B.sum(axis=1)
-    # Variables (y_1..y_l, margin); maximize margin.
-    c = np.zeros(l + 1)
-    c[-1] = -1.0
-    A_eq = np.hstack([C[rows, :], np.zeros((len(rows), 1))])
-    A_ub = np.hstack([C[off, :], np.ones((len(off), 1))])
-    bounds = [(0, None)] * l + [(0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=psi[off], A_eq=A_eq, b_eq=psi[rows], bounds=bounds)
-    if not res.success or res.x is None:
+    scale = magnitude(psi) or 1.0
+    C_hat, psi_hat = C / scale, psi / scale
+    try:
+        found = _max_smallest(-C_hat[off, :], C_hat[rows, :], psi_hat[rows], h=-psi_hat[off])
+    except NonConvergenceError:
         return None
-    y, margin = res.x[:-1], res.x[-1]
-    if margin <= BASE_TOL * magnitude(psi):
+    if found is None or found[0] <= BASE_TOL:
         return None
-    return y
+    return found[1]
+
+
+def _max_smallest(G, A_eq, b_eq, h=None):
+    """``(t, x)`` maximizing ``t`` subject to ``G @ x >= h + t``,
+    ``A_eq @ x = b_eq``, ``x >= 0`` and ``0 <= t <= 1`` (``h`` defaults to
+    zero), by one linear program; None when it is infeasible.
+
+    The data must be dimensionless: the feasibility tolerance is ``BASE_TOL``
+    on every row. Raises ``NonConvergenceError`` when the program ends other
+    than optimal or infeasible.
+    """
+    m, k = G.shape
+    # Variables (x_1..x_k, t); maximize t.
+    cost = np.zeros(k + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_ub=np.hstack([-G, np.ones((m, 1))]),
+                  b_ub=np.zeros(m) if h is None else -h,
+                  A_eq=np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]), b_eq=b_eq,
+                  bounds=[(0, None)] * k + [(0, 1)],
+                  options={"primal_feasibility_tolerance": BASE_TOL})
+    if res.status == 2:
+        return None
+    if not res.success:
+        raise NonConvergenceError(f"linear program ended with status {res.status}: "
+                                  f"{res.message}")
+    return res.x[-1], res.x[:-1]
 
 
 def solve_D(fact: Factorization, y=None) -> DVector:
     """Strictly positive d with ``B1.T @ d = y * d`` (componentwise).
 
-    ``y`` defaults to the factor's row sums. ``d`` comes from the kernel of
-    ``B1.T - diag(y)``: a one-dimensional kernel gives it up to sign, and a
-    larger one (a decomposable factor, or one with negative entries) is
-    searched by one linear program for the vector whose smallest entry is
-    largest. ``d`` is scaled to ``sum(d) = l`` and its residual is verified.
-    Raises ``InfeasibleError`` when the kernel holds no strictly positive
-    vector.
+    ``y`` defaults to the factor's row sums. ``d`` is found by one linear
+    program: among ``d >= 0`` with ``(B1.T - diag(y)) @ d = 0`` and
+    ``sum(d) = l``, the one whose smallest entry is largest. The same program
+    serves an eigen-space of any dimension (a decomposable factor, or one
+    with negative entries, may have more than one), and its residual is
+    verified. Raises ``InfeasibleError`` when the eigen-system has no
+    strictly positive solution.
     """
+    B1 = np.asarray(fact.B1, dtype=float)
     if y is None:
         y = np.asarray(fact.row_sums, dtype=float)
     else:
-        y = as_vector(y, "y")
+        y = as_vector(y, "y", length=B1.shape[0])
     bad = np.where(y <= 0)[0]
     if bad.size:
         raise DivisionGuardError(
@@ -350,7 +374,7 @@ def solve_D(fact: Factorization, y=None) -> DVector:
             "eigen-system ratio is undefined",
             agent=int(bad[0]),
         )
-    return DVector(d=_eigen_space(np.asarray(fact.B1, dtype=float), y))
+    return DVector(d=_eigen_space(B1, y))
 
 
 def _eig_residual(B1, y, d):
@@ -359,37 +383,14 @@ def _eig_residual(B1, y, d):
 
 
 def _eigen_space(B1, y):
-    """A verified strictly positive ``d`` in the kernel of ``B1.T - diag(y)``
-    with ``sum(d) = l``.
-
-    The kernel is cut off absolutely, at ``ROUNDING * max(1, max|B1|,
-    max|y|)``: a relative cutoff fails when the matrix itself is numerical
-    noise (for example a factor that is the identity up to roundoff).
-    ``B1`` and ``y`` are dimensionless.
-    """
+    """A verified strictly positive ``d`` with ``B1.T @ d = y * d`` and
+    ``sum(d) = l``; ``B1`` and ``y`` are dimensionless."""
     l = B1.shape[0]
-    _, s, vt = np.linalg.svd(B1.T - np.diag(y))
-    cutoff = ROUNDING * max(1.0, magnitude(B1, y))
-    kernel = vt[int(np.sum(s > cutoff)):].T
-    if kernel.size == 0:
-        raise InfeasibleError("the eigen-system has no nonzero solution")
-    if kernel.shape[1] == 1:
-        d = kernel[:, 0]
-        if d.sum() < 0:
-            d = -d
-        if not np.all(d > 0):
-            raise InfeasibleError(
-                "the one-dimensional eigen-space contains no positive vector",
-                detail={"kernel": kernel},
-            )
-    else:
-        d = _positive_kernel_vector(kernel)
-        if d is None:
-            raise InfeasibleError(
-                "the eigen-space contains no strictly positive vector",
-                detail={"kernel": kernel},
-            )
-    d = d * (l / d.sum())
+    found = _max_smallest(np.eye(l), np.vstack([B1.T - np.diag(y), np.ones(l)]),
+                          np.append(np.zeros(l), float(l)))
+    if found is None or found[0] <= ROUNDING:
+        raise InfeasibleError("the eigen-system has no strictly positive solution")
+    d = found[1]
 
     residual = _eig_residual(B1, y, d)
     if residual > EIG_TOL:
@@ -402,26 +403,6 @@ def _eigen_space(B1, y):
             "eigen-system solution is not strictly positive",
             detail={"d": d},
         )
-    return d
-
-
-def _positive_kernel_vector(kernel):
-    """Strictly positive ``d = kernel @ w`` with ``sum(d) = l``, by one linear
-    program maximizing the smallest component of ``d``, or None."""
-    l, dim = kernel.shape
-    # Variables: (w_1..w_dim, mu); maximize mu.
-    cost = np.zeros(dim + 1)
-    cost[-1] = -1.0
-    A_ub = np.hstack([-kernel, np.ones((l, 1))])
-    A_eq = np.append(kernel.sum(axis=0), 0.0)[None, :]
-    bounds = [(None, None)] * dim + [(0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(l), A_eq=A_eq, b_eq=[float(l)],
-                  bounds=bounds)
-    if not res.success or res.x is None or res.x[-1] <= ROUNDING:
-        return None
-    d = kernel @ res.x[:dim]
-    if np.any(d <= 0):
-        return None
     return d
 
 
@@ -488,24 +469,19 @@ def exists_ideal(C, B) -> IdealExistence:
             f"(worst gap {gap:.3e})",
             condition="zero_aggregate_balance",
         )
-    n, l = C.shape
+    l = C.shape[1]
     scale = magnitude(C, B) or 1.0
     C_hat, B_hat = C / scale, B / scale
-    # Variables: (p_1..p_n, t); maximize t, the smallest demand cost.
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    A_eq = np.vstack([np.hstack([(B_hat - C_hat).T, np.zeros((l, 1))]),
-                      np.append(C_hat.sum(axis=1), 0.0)])
-    res = linprog(cost, A_ub=np.hstack([-C_hat.T, np.ones((l, 1))]), b_ub=np.zeros(l),
-                  A_eq=A_eq, b_eq=np.append(np.zeros(l), float(l)),
-                  bounds=[(0, None)] * n + [(0, 1)],
-                  options={"primal_feasibility_tolerance": BASE_TOL})
-    if res.status == 2 or (res.success and res.x[-1] <= BASE_TOL):
+    # The smallest demand cost C.T @ p is maximized.
+    try:
+        found = _max_smallest(C_hat.T, np.vstack([(B_hat - C_hat).T, C_hat.sum(axis=1)]),
+                              np.append(np.zeros(l), float(l)))
+    except NonConvergenceError as exc:
+        return IdealExistence(False, None, None, f"price program failed: {exc}")
+    if found is None or found[0] <= BASE_TOL:
         return IdealExistence(False, None, None, "no nonnegative prices zero every "
                               "balance at positive demand costs")
-    if not res.success:
-        return IdealExistence(False, None, None, f"price program failed: {res.message}")
-    p0 = np.maximum(res.x[:n], 0.0) / scale
+    p0 = np.maximum(found[1], 0.0) / scale
     d = C.T @ p0
     verdict = check_ideal(C, B, p0)
     if not verdict.ideal:

@@ -19,6 +19,7 @@ from ._numerics import (
     as_economy,
     as_matrix,
     as_vector,
+    clearing_subset,
     magnitude,
 )
 from .equilibrium_solver import (
@@ -72,11 +73,7 @@ class RecessionReport:
 def real_consumption(C, y):
     """Demand actually realized at satisfaction ratios ``y``: sum_i y_i C_i."""
     C = as_matrix(C, "C")
-    y = as_vector(y, "y")
-    if y.shape[0] != C.shape[1]:
-        raise ValueError(
-            f"y has length {y.shape[0]}, expected {C.shape[1]} agents"
-        )
+    y = as_vector(y, "y", length=C.shape[1])
     if np.any(y < 0) or not np.any(y > 0):
         raise ValueError("y must be nonnegative and nonzero")
     return C @ y
@@ -90,7 +87,7 @@ def modified_supply(C, B, y, clearing_set):
     price supported on the clearing set.
     """
     C, B = as_economy(C, B)
-    y = as_vector(y, "y")
+    y = as_vector(y, "y", length=C.shape[1])
     idx, _ = _split_goods(clearing_set, C.shape[0])
     B0 = C * y[None, :]
     B0[idx, :] = B[idx, :]
@@ -98,13 +95,8 @@ def modified_supply(C, B, y, clearing_set):
 
 
 def _split_goods(clearing_set, n):
-    idx = sorted(int(k) for k in clearing_set)
-    if not idx:
-        raise PreconditionError("clearing set must be nonempty", condition="nonempty_I")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"clearing set {idx} out of range for {n} goods")
-    off = [k for k in range(n) if k not in set(idx)]
-    return idx, off
+    idx = list(clearing_subset(clearing_set, n))
+    return idx, [k for k in range(n) if k not in set(idx)]
 
 
 def generalized_price(p0, psi, clearing_set) -> PriceVector:
@@ -115,11 +107,9 @@ def generalized_price(p0, psi, clearing_set) -> PriceVector:
     to sum to one and then scaled so that the supply cost over the set is
     unchanged; off the set the price is one, matching current prices.
     """
-    p0 = p0.p if isinstance(p0, PriceVector) else as_vector(p0, "p0")
     psi = as_vector(psi, "psi")
     n = psi.shape[0]
-    if p0.shape[0] != n:
-        raise ValueError(f"p0 has length {p0.shape[0]}, expected {n}")
+    p0 = as_vector(getattr(p0, "p", p0), "p0", length=n)
     idx, off = _split_goods(clearing_set, n)
     total = float(p0.sum())
     if total <= 0:
@@ -153,9 +143,9 @@ def recession_level(psi, psi_bar, clearing_set, p1) -> float:
     times the off-clearing supply.
     """
     psi = as_vector(psi, "psi")
-    psi_bar = as_vector(psi_bar, "psi_bar")
-    p1 = p1.p if isinstance(p1, PriceVector) else as_vector(p1, "p1")
     n = psi.shape[0]
+    psi_bar = as_vector(psi_bar, "psi_bar", length=n)
+    p1 = as_vector(getattr(p1, "p", p1), "p1", length=n)
     idx, off = _split_goods(clearing_set, n)
     if not off:
         return 0.0
@@ -183,7 +173,8 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
                       tol=DEFAULT_TOL) -> RecessionReport:
     """Assemble the full degeneracy picture for a converged solution.
 
-    Verifies the solution still passes the equilibrium check, rebuilds the
+    Verifies the solution still passes the equilibrium check and that its
+    clearing set is the one that check finds at ``p0``, rebuilds the
     satisfaction ratios from the clearing-supported price, and spot-checks
     that prices off the clearing set leave the modified-supply market
     unchanged (the degeneracy freedom that motivates the multiplicity).
@@ -195,8 +186,14 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
             "solution no longer passes the equilibrium check against C, B",
             condition="solution_is_equilibrium",
         )
+    if tuple(solution.clearing_set) != check.clearing_set:
+        raise PreconditionError(
+            f"solution clearing set {tuple(solution.clearing_set)} is not the "
+            f"clearing set {check.clearing_set} found at its prices",
+            condition="clearing_set_at_p0",
+        )
     n = C.shape[0]
-    idx, off = _split_goods(solution.clearing_set, n)
+    idx, off = _split_goods(check.clearing_set, n)
 
     # Price supported exactly on the clearing set; the solver leaves at
     # most a vanishing mass elsewhere.

@@ -288,6 +288,24 @@ class TestReport:
         assert code == EXIT_INPUT
         assert not (out / "re").exists()
 
+    def test_solution_with_a_repeated_clearing_good_is_input_error(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path)
+        out = tmp_path / "out"
+        run("ingest", "--input", csv_path, "--out", out)
+        run("solve", "--input", out / "matrices_2020.json", "--out", out / "run")
+        payload = json.loads((out / "run" / "solution.json").read_text())
+        payload["I"] = payload["I"] * 2
+        (out / "repeated.json").write_text(json.dumps(payload))
+        code = run(
+            "report",
+            "--input", out / "repeated.json",
+            "--matrices", out / "matrices_2020.json",
+            "--out", out / "re",
+        )
+        assert code == EXIT_INPUT
+        assert "clearing set" in capsys.readouterr().err
+        assert not (out / "re").exists()
+
 
 # Runs in a fresh interpreter: the CLI steps that need no scipy, among them a
 # solve whose last stage stalls and is finished by Newton steps, then a

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,17 @@ class TestCertifyConsistency:
         assert cert.label == "weak-of-rank-|I|"
         assert cert.side_margin == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("I, error", [((), PreconditionError), ((0, 3), ValueError),
+                                          ((0, 0, 1), ValueError)],
+                             ids=["empty", "out-of-range", "repeated"])
+    def test_malformed_clearing_set_rejected(self, I, error):
+        # A repeated good once passed for all three goods and skipped the
+        # rank-|I| tiers: (0, 0, 1) was none where (0, 1) is weak-of-rank-|I|.
+        C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.5, 1.5]])
+        with pytest.raises(error, match="clearing set"):
+            certify_consistency(C, B, I)
+
 
 class TestSolveD:
     def test_doubly_stochastic(self):
@@ -265,6 +278,26 @@ class TestSolveD:
         assert space.shape[1] == 2
         coeffs, *_ = np.linalg.lstsq(space, d, rcond=None)
         assert np.abs(space @ coeffs - d).max() <= 1e-10 * np.abs(d).max()
+
+    def test_one_program_and_no_svd(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append("linprog")
+            return real(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_D takes an SVD")
+
+        real = consistency.linprog
+        monkeypatch.setattr(consistency, "linprog", counted)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        B1 = np.zeros((4, 4))  # a two-dimensional eigen-space
+        B1[:2, :2], B1[2:, 2:] = 0.5, [[0.2, 0.8], [0.6, 0.4]]
+        for fact in (make_fact([[0.3, 0.7], [0.6, 0.4]]), make_fact(B1)):
+            calls.clear()
+            assert np.all(solve_D(fact).d > 0)
+            assert calls == ["linprog"]
 
     def test_zero_row_sum_rejected(self):
         fact = make_fact([[0.0, 0.0], [1.0, 1.0]], mode="weak", indecomposable=False)
@@ -461,7 +494,7 @@ def _outcome(fn):
 
 
 class TestUnitInvariance:
-    SCALES = (1e-3, 1e6, 1e12)
+    SCALES = (1e-9, 1e-6, 1e-3, 1e6, 1e12)
 
     def test_verdicts_do_not_depend_on_the_currency_unit(self, rng):
         for _ in range(30):
@@ -474,8 +507,11 @@ class TestUnitInvariance:
                 member = _outcome(lambda: classify_membership(s * C[:, :m].T, s * psi))
                 positive = _outcome(lambda: strictly_positive_solution(s * C, s * psi))
                 factor = _outcome(lambda: factor_supply(s * C, s * B))
-                label = certify_consistency(s * C, s * B).label
-                return member, positive, factor, label
+                # All goods, then every proper nonempty clearing set, which
+                # reaches the rank-|I| tiers.
+                subsets = [None] + [I for r in range(1, n) for I in combinations(range(n), r)]
+                labels = [certify_consistency(s * C, s * B, I).label for I in subsets]
+                return member, positive, factor, labels
 
             base = verdicts(1.0)
             for s in self.SCALES:

@@ -87,7 +87,8 @@ class TestAgreesWithScipy:
     def test_mixed_rows_with_free_columns(self, rng):
         # Free columns w next to nonnegative ones p, coupled by equality rows:
         # maximize mu >= 0 subject to mu <= kernel @ w, C.T p = kernel @ w and
-        # sum(kernel @ w) = l. Without p this is _positive_kernel_vector's LP.
+        # sum(kernel @ w) = l: a positive vector of a subspace given by a
+        # basis, which is also a price image C.T p.
         for _ in range(40):
             n, l, dim = rng.integers(2, 6), rng.integers(2, 8), rng.integers(1, 3)
             C = sparse_uniform(rng, (n, l))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,34 @@ from tradequil import (
     PreconditionError,
     excess_demand,
     degeneracy_report,
+    factor_supply,
     generalized_price,
     modified_supply,
     real_consumption,
     recession_level,
+    solve_D,
     solve_fixed_point,
 )
 
 BOUNDARY_C = np.array([[1.0], [1.0]])
 BOUNDARY_B = np.array([[2.0], [1.0]])
+
+
+@pytest.mark.parametrize("call, lengths", [
+    (lambda: solve_D(factor_supply(np.eye(2), np.eye(2)), y=[1.0]),
+     "y has length 1, expected 2"),
+    (lambda: solve_D(factor_supply(np.eye(2), np.eye(2)), y=np.ones(4)),
+     "y has length 4, expected 2"),
+    (lambda: modified_supply(np.eye(2), np.eye(2), [1.0], (0,)), "y has length 1, expected 2"),
+    (lambda: recession_level([1.0, 1.0], [1.0], (0,), [1.0, 1.0]),
+     "psi_bar has length 1, expected 2"),
+    (lambda: recession_level([1.0, 1.0], [1.0, 1.0], (0,), [1.0, 1.0, 1.0]),
+     "p1 has length 3, expected 2"),
+], ids=["solve_D-short-y", "solve_D-long-y", "modified_supply-y", "recession-psi_bar",
+        "recession-p1"])
+def test_wrong_lengths_are_named(call, lengths):
+    with pytest.raises(ValueError, match=lengths):
+        call()
 
 
 class TestRealConsumption:
@@ -58,6 +79,10 @@ class TestModifiedSupply:
         B0 = modified_supply(C, B, y, (1, 3))
         np.testing.assert_array_equal(B0[[1, 3]], B[[1, 3]])
         np.testing.assert_array_equal(B0[[0, 2]], (C * y)[[0, 2]])
+
+    def test_repeated_clearing_good_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            modified_supply(np.eye(2), np.eye(2), [1.0, 1.0], (0, 0))
 
     def test_empty_clearing_set_rejected(self):
         with pytest.raises(PreconditionError):
@@ -165,6 +190,17 @@ class TestDegeneracyReport:
         row = report.csv_row(2016)
         assert row[0] == "2016"
         assert row[2] == "2"
+
+    @pytest.mark.parametrize("clearing_set", [(1, 1), (0, 1), (0,)],
+                             ids=["repeated", "every-good", "wrong-good"])
+    def test_clearing_set_must_be_the_one_found_at_p0(self, clearing_set):
+        # Good 0 is oversupplied at p0, so only good 1 clears. A repeated
+        # good once gave multiplicity 0, and listing good 0 gave R = 0.
+        solution = solve_fixed_point(BOUNDARY_C, BOUNDARY_B)
+        tampered = replace(solution, clearing_set=clearing_set)
+        with pytest.raises(PreconditionError, match="clearing set") as err:
+            degeneracy_report(tampered, BOUNDARY_C, BOUNDARY_B)
+        assert err.value.condition == "clearing_set_at_p0"
 
     def test_requires_equilibrium_solution(self):
         solution = solve_fixed_point(BOUNDARY_C, BOUNDARY_B)
