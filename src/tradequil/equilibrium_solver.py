@@ -13,8 +13,12 @@ from the map's exact Jacobian (C. T. Kelley, *Solving Nonlinear Equations
 with Newton's Method*, SIAM 2003, ch. 1-2). Prices outside the clearing set
 fall toward zero, and a full Newton step would often make them negative;
 the jump is cut back to stay inside the simplex instead, as an
-interior-point method keeps its iterates interior. A last stage that stalls
-is finished by the same Newton step, taken unguarded.
+interior-point method keeps its iterates interior. After every stage the
+same Newton step, taken unguarded on the last stage's map, finishes the
+stage's point, and the solve returns the first stage point whose Newton
+finish passes every check; most solves stop after the first stage. Where
+the equilibrium is not unique, the answer is the first verified point on
+the homotopy path, not necessarily its limit.
 """
 
 from __future__ import annotations
@@ -326,9 +330,11 @@ def _newton_finish(G, p, tol):
     """At most ``FINISH_STEPS`` plain Newton steps ``_newton_jump(G, p, G(p) - p)``.
 
     Returns (the first point, ``p`` itself included, whose residual
-    max|G(p) - p| is at most ``tol``, or None, map evaluations). Unlike a
-    jump inside a stage, a step is taken whatever it does to the residual:
-    it runs only where the iteration has stopped making progress.
+    max|G(p) - p| is at most ``tol``, or None, map evaluations). The solver
+    runs it after every stage, with ``G`` the last stage's map and ``p`` the
+    stage's last point. Unlike a jump inside a stage, a step is taken
+    whatever it does to the residual: the finished point is judged by the
+    equilibrium checks, not by the path to it.
     """
     evals = 0
     while True:
@@ -350,11 +356,16 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL,
     Iterates ``p <- G_eps(p)`` with Newton jumps on the simplex for each
     epsilon of ``EPSILONS``, warm-starting every stage from the last point
     of the one before, whether that stage converged, stalled or reached
-    ``MAX_INNER_ITERATIONS``. A last stage that stops short of ``tol_inner``
-    is finished by at most ``FINISH_STEPS`` plain Newton steps. ``tol``
-    bounds each good's excess demand relative to its supply and
-    ``tol_inner`` the last stage's fixed-point residual. A solve that fails
-    is repeated once without Newton jumps inside the stages. Needs no scipy.
+    ``MAX_INNER_ITERATIONS``. After every stage, at most ``FINISH_STEPS``
+    plain Newton steps on the last stage's map take the stage's point to a
+    fixed-point residual of ``tol_inner``. The solution is the first stage
+    point whose Newton finish passes every check: no good's excess demand
+    above ``tol`` times its supply, a nonempty clearing set and the Walras
+    identity. Its ``final_epsilon`` is ``EPSILONS[-1]``, its ``residual``
+    is max|G(p) - p| for that last stage's map and its ``iterations``
+    count the map evaluations of the stages and of every finish. A solve
+    whose stage points all fail is repeated once without Newton jumps
+    inside the stages. Needs no scipy.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning) and positive
     aggregate supply for every good.
@@ -393,36 +404,14 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL,
         return _solve(C, B, psi, tol, tol_inner, False, err.iterations)
 
 
-def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
-    """Stages and checks of ``solve_fixed_point``, counting on from ``iterations``."""
-    p = np.full(C.shape[0], 1.0 / C.shape[0])
+def _accept(C, B, psi, G_last, p, tol, iterations):
+    """The solution at a finished point ``p``, or NonConvergenceError.
+
+    ``p`` is accepted when no equilibrium inequality is violated at ``tol``,
+    the clearing set is nonempty and the Walras identity
+    ``<C y, p> = <psi, p>`` holds to ``RESIDUAL_TOL``.
+    """
     last_epsilon = EPSILONS[-1]
-    for epsilon in EPSILONS:
-        tol_stage = tol_inner if epsilon == last_epsilon else max(tol_inner, epsilon * 1e-2)
-        G = _stage_map(C, B, psi, epsilon)
-        p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
-        iterations += used
-        # A stage that stalls or reaches the cap hands on its last point too.
-
-    if stage_exit != "converged":
-        # The last stage must meet tol_inner: finish it by plain Newton steps.
-        p_finished, used_finish = _newton_finish(G, p, tol_inner)
-        iterations += used_finish
-        if p_finished is None:
-            residual = _residual(G, p)
-            reason = (f"stalled after {used} map evaluations (residual not "
-                      f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
-                      f"hit the {MAX_INNER_ITERATIONS}-evaluation cap after {used} "
-                      "map evaluations")
-            raise NonConvergenceError(
-                f"stage epsilon={last_epsilon:.3e} {reason}; residual {residual:.3e}",
-                residual=residual,
-                iterations=iterations,
-                epsilon=last_epsilon,
-            )
-        p = p_finished
-
-    residual = _residual(G, p)  # G is the last stage's map
     check = is_equilibrium(C, B, p, tol=tol)
     if not check.ok:
         k, worst = max(check.violations, key=lambda violation: violation[1])
@@ -436,7 +425,7 @@ def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
     if not check.clearing_set:
         raise NonConvergenceError(
             "no good clears at the converged point; tighten tolerances",
-            residual=residual,
+            residual=_residual(G_last, p),
             iterations=iterations,
             epsilon=last_epsilon,
         )
@@ -456,7 +445,49 @@ def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
         excess=check.excess,
         iterations=iterations,
         final_epsilon=last_epsilon,
+        residual=_residual(G_last, p),
+    )
+
+
+def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
+    """Stages and checks of ``solve_fixed_point``, counting on from ``iterations``.
+
+    After every stage, ``_newton_finish`` on the last stage's map runs from
+    the stage's last point, and the first finished point that ``_accept``
+    accepts is returned.
+    """
+    p = np.full(C.shape[0], 1.0 / C.shape[0])
+    last_epsilon = EPSILONS[-1]
+    G_last = _stage_map(C, B, psi, last_epsilon)
+    for epsilon in EPSILONS:
+        if epsilon == last_epsilon:
+            G, tol_stage = G_last, tol_inner
+        else:
+            G, tol_stage = _stage_map(C, B, psi, epsilon), max(tol_inner, epsilon * 1e-2)
+        # A stage that stalls or reaches the cap hands on its last point too.
+        p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
+        iterations += used
+        p_finished, used_finish = _newton_finish(G_last, p, tol_inner)
+        iterations += used_finish
+        if p_finished is not None:
+            try:
+                return _accept(C, B, psi, G_last, p_finished, tol, iterations)
+            except NonConvergenceError as err:
+                rejected = err
+
+    if p_finished is not None:
+        raise rejected  # why the last stage's finished point was refused
+    # The last stage stopped short of tol_inner and its finish failed.
+    residual = _residual(G_last, p)
+    reason = (f"stalled after {used} map evaluations (residual not "
+              f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
+              f"hit the {MAX_INNER_ITERATIONS}-evaluation cap after {used} "
+              "map evaluations")
+    raise NonConvergenceError(
+        f"stage epsilon={last_epsilon:.3e} {reason}; residual {residual:.3e}",
         residual=residual,
+        iterations=iterations,
+        epsilon=last_epsilon,
     )
 
 

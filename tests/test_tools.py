@@ -1,4 +1,5 @@
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,16 @@ class TestDirectSolves:
         report = run("--compare", out, out).stdout
         assert "structure    502      4    0→0       0    0" in report
         assert "I changed" not in report and "median 0.00e+00" in report
+        # The per-solve median of map evaluations sits next to their total.
+        median = statistics.median(r["iterations"] for r in records)
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("".join(json.dumps({**r, "iterations": 2 * r["iterations"]}) + "\n"
+                                   for r in records))
+        report = run("--compare", out, doubled).stdout
+        assert "p50 ev A→B" in report.splitlines()[2]
+        total = sum(r["iterations"] for r in records)
+        [row] = [line for line in report.splitlines() if line.startswith("structure    502")]
+        assert f"{total:>10,}→{2 * total:<10,} {median:>6.0f}→{2 * median:<6.0f} " in row
 
     def test_structure_verdicts_are_recorded_and_compared(self, tmp_path):
         out = tmp_path / "records.jsonl"

@@ -22,14 +22,15 @@ for ``no ideal`` (None otherwise). Their warnings are not counted in
 ``warnings``.
 
 The second form reads two such files and prints, per workload and seed,
-solves, failures, new and rescued failures, map evaluations, the solves'
-median seconds, the years where ``I`` changed and ``|Δp0|`` where both solved,
-each side's failures by class (``FAILURE_CLASSES``, read from the message) and
-every structure verdict and every ``ideal_reason`` that differs where both
-files have one. It exits with status 1 when B fails a solve that A solved or
-changes a structure verdict, and 0 otherwise, so it can gate a change on its
-own. A changed reason alone does not gate: the wording of a reason may
-change while ``exists`` does not.
+solves, failures, new and rescued failures, map evaluations in all and
+per solve at the median, the solves' median seconds, the years where ``I``
+changed and ``|Δp0|`` where both solved, each side's failures by class
+(``FAILURE_CLASSES``, read from the message) and every structure verdict
+and every ``ideal_reason`` that differs where both files have one. It exits
+with status 1 when B fails a solve that A solved or changes a structure
+verdict, and 0 otherwise, so it can gate a change on its own. A changed
+reason alone does not gate: the wording of a reason may change while
+``exists`` does not.
 """
 
 import os
@@ -145,8 +146,8 @@ def compare(path_a, path_b):
     deltas = []
     print(f"A = {path_a}\nB = {path_b}")
     print(f"{'kind':10} {'seed':>5} {'solves':>6} {'fail A→B':>9} {'new':>4} "
-          f"{'resc':>4} {'evals A→B':>21} {'p50 ms A→B':>13} {'warn':>5} {'I chg':>5} "
-          f"{'max|Δp0|':>9}")
+          f"{'resc':>4} {'evals A→B':>21} {'p50 ev A→B':>13} {'p50 ms A→B':>13} "
+          f"{'warn':>5} {'I chg':>5} {'max|Δp0|':>9}")
     for (kind, seed), group in sorted(by_seed.items()):
         row = Counter(solves=len(group))
         seed_deltas = []
@@ -164,11 +165,14 @@ def compare(path_a, path_b):
                 if ra["I"] != rb["I"]:
                     row["I_changed"] += 1
                     changed.append((key, ra["I"], rb["I"], seed_deltas[-1]))
+        evals_a = statistics.median(a[key]["iterations"] or 0 for key in group)
+        evals_b = statistics.median(b[key]["iterations"] or 0 for key in group)
         p50_a = statistics.median(a[key]["seconds"] for key in group) * 1e3
         p50_b = statistics.median(b[key]["seconds"] for key in group) * 1e3
         print(f"{kind:10} {seed:>5} {row['solves']:>6} "
               f"{row['fail_a']:>4}→{row['fail_b']:<4} {row['new']:>4} {row['rescued']:>4} "
-              f"{row['evals_a']:>10,}→{row['evals_b']:<10,} {p50_a:>6.1f}→{p50_b:<6.1f} "
+              f"{row['evals_a']:>10,}→{row['evals_b']:<10,} {evals_a:>6.0f}→{evals_b:<6.0f} "
+              f"{p50_a:>6.1f}→{p50_b:<6.1f} "
               f"{row['warnings']:>5} {row['I_changed']:>5} "
               f"{max(seed_deltas, default=0.0):>9.2e}")
         total.update(row)
