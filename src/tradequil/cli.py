@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,11 +32,9 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _write_json(path, payload):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """``payload`` as sorted, indented JSON in one write; the directory must exist."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(value):
@@ -110,6 +109,7 @@ def cmd_ingest(args) -> int:
         args.input, year=args.year, countries=countries, products=products
     )
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for year, tensor in sorted(tensors.items()):
         cm = build_cost_matrices(tensor)
         payload = cm.to_dict()
@@ -134,13 +134,13 @@ def _load_matrices(path):
 
 def _write_outputs(out, cm, solution, report, scenario):
     out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     solution_payload = solution.to_dict()
     solution_payload["year"] = scenario
     _write_json(out / "solution.json", solution_payload)
     recession_payload = report.to_dict()
     recession_payload["year"] = scenario
     _write_json(out / "recession.json", recession_payload)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "recession.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RecessionReport.CSV_HEADER)
@@ -237,9 +237,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on the first call of :func:`main`.
+
+    Building it costs more than parsing one command line, and parsing
+    changes nothing in it, so repeated in-process calls share it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonConvergenceError as exc:

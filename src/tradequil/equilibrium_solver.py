@@ -96,16 +96,16 @@ class PriceVector:
     @classmethod
     def clearing_cost(cls, p, psi, clearing_set):
         """Validate the clearing-cost identity sum_I psi*p = sum_I psi."""
-        p = as_vector(p, "p")
-        psi = as_vector(psi, "psi")
+        price = cls(p, "clearing-cost")
         idx = list(clearing_set)
-        lhs = float(psi[idx] @ p[idx])
-        rhs = float(psi[idx].sum())
+        psi_on = as_vector(psi, "psi")[idx]
+        lhs = float(psi_on @ price.p[idx])
+        rhs = float(psi_on.sum())
         if abs(lhs - rhs) > ROUNDING * abs(rhs):
             raise ValueError(
                 f"clearing-cost identity violated: {lhs!r} != {rhs!r}"
             )
-        return cls(p, "clearing-cost")
+        return price
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,12 @@ def demand_weights(C, B, p):
 
 def excess_demand(C, B, p):
     """Componentwise demand minus aggregate supply at prices ``p``."""
-    C, B, p = as_economy(C, B, p)
+    return excess_demand_unchecked(*as_economy(C, B, p))
+
+
+def excess_demand_unchecked(C, B, p):
+    """:func:`excess_demand` of ``(C, B, p)`` that :func:`as_economy` has
+    already returned, without checking them again."""
     psi = B.sum(axis=1)
     return C @ demand_weights(C, B, p) - psi
 
@@ -191,8 +196,13 @@ def is_equilibrium(C, B, p, tol=DEFAULT_TOL) -> EquilibriumCheck:
     Good ``k`` violates them when its excess demand exceeds ``tol * psi_k``
     and clears when the excess is at most that in absolute value.
     """
-    C, B, p = as_economy(C, B, p)
-    excess = excess_demand(C, B, p)
+    return is_equilibrium_unchecked(*as_economy(C, B, p), tol=tol)
+
+
+def is_equilibrium_unchecked(C, B, p, tol=DEFAULT_TOL) -> EquilibriumCheck:
+    """:func:`is_equilibrium` of ``(C, B, p)`` that :func:`as_economy` has
+    already returned, without checking them again."""
+    excess = excess_demand_unchecked(C, B, p)
     tolvec = tol * B.sum(axis=1)
     violations = tuple(
         (int(k), float(excess[k])) for k in np.where(excess > tolvec)[0]
@@ -499,7 +509,7 @@ def evaluate_solution(C, B, p, tol=DEFAULT_TOL) -> EquilibriumSolution:
     mark that no fixed-point iteration produced them.
     """
     C, B, p = as_economy(C, B, p)
-    check = is_equilibrium(C, B, p, tol=tol)
+    check = is_equilibrium_unchecked(C, B, p, tol=tol)
     if not check.ok:
         raise PreconditionError(
             f"price vector violates the equilibrium inequalities at goods "

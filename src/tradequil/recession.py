@@ -8,6 +8,7 @@ finds no consumer is the recession level ``R``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,7 @@ from .equilibrium_solver import (
     EquilibriumSolution,
     PriceVector,
     demand_weights,
-    excess_demand,
-    is_equilibrium,
+    is_equilibrium_unchecked,
 )
 from .errors import DivisionGuardError, PreconditionError
 
@@ -73,7 +73,10 @@ class RecessionReport:
 def real_consumption(C, y):
     """Demand actually realized at satisfaction ratios ``y``: sum_i y_i C_i."""
     C = as_matrix(C, "C")
-    y = as_vector(y, "y", length=C.shape[1])
+    return _real_consumption(C, as_vector(y, "y", length=C.shape[1]))
+
+
+def _real_consumption(C, y):
     if np.any(y < 0) or not np.any(y > 0):
         raise ValueError("y must be nonnegative and nonzero")
     return C @ y
@@ -89,6 +92,10 @@ def modified_supply(C, B, y, clearing_set):
     C, B = as_economy(C, B)
     y = as_vector(y, "y", length=C.shape[1])
     idx, _ = _split_goods(clearing_set, C.shape[0])
+    return _modified_supply(C, B, y, idx)
+
+
+def _modified_supply(C, B, y, idx):
     B0 = C * y[None, :]
     B0[idx, :] = B[idx, :]
     return B0
@@ -96,7 +103,8 @@ def modified_supply(C, B, y, clearing_set):
 
 def _split_goods(clearing_set, n):
     idx = list(clearing_subset(clearing_set, n))
-    return idx, [k for k in range(n) if k not in set(idx)]
+    chosen = set(idx)
+    return idx, [k for k in range(n) if k not in chosen]
 
 
 def generalized_price(p0, psi, clearing_set) -> PriceVector:
@@ -110,7 +118,10 @@ def generalized_price(p0, psi, clearing_set) -> PriceVector:
     psi = as_vector(psi, "psi")
     n = psi.shape[0]
     p0 = as_vector(getattr(p0, "p", p0), "p0", length=n)
-    idx, off = _split_goods(clearing_set, n)
+    return _generalized_price(p0, psi, *_split_goods(clearing_set, n))
+
+
+def _generalized_price(p0, psi, idx, off):
     total = float(p0.sum())
     if total <= 0:
         raise ValueError("p0 must have positive total mass")
@@ -120,15 +131,16 @@ def generalized_price(p0, psi, clearing_set) -> PriceVector:
             "set; a supported price vector is required",
             condition="p0_supported_on_I",
         )
-    if np.any(psi[idx] <= 0):
-        bad = idx[int(np.argmax(psi[idx] <= 0))]
+    psi_on, p0_on = psi[idx], p0[idx]
+    if np.any(psi_on <= 0):
+        bad = idx[int(np.argmax(psi_on <= 0))]
         raise DivisionGuardError(
             f"aggregate supply of clearing good {bad} is not positive",
             agent=bad,
         )
-    on = p0[idx] / float(p0[idx].sum())  # renormalized: sum over I is one
-    tau = float(psi[idx].sum()) / float(psi[idx] @ on)
-    p1 = np.ones(n)
+    on = p0_on / float(p0_on.sum())  # renormalized: sum over I is one
+    tau = float(psi_on.sum()) / float(psi_on @ on)
+    p1 = np.ones(len(p0))
     p1[idx] = tau * on
     return PriceVector.clearing_cost(p1, psi, idx)
 
@@ -146,11 +158,15 @@ def recession_level(psi, psi_bar, clearing_set, p1) -> float:
     n = psi.shape[0]
     psi_bar = as_vector(psi_bar, "psi_bar", length=n)
     p1 = as_vector(getattr(p1, "p", p1), "p1", length=n)
-    idx, off = _split_goods(clearing_set, n)
+    return _recession_level(psi, psi_bar, p1, *_split_goods(clearing_set, n))
+
+
+def _recession_level(psi, psi_bar, p1, idx, off):
     if not off:
         return 0.0
-    if np.any(psi[off] <= 0):
-        bad = off[int(np.argmax(psi[off] <= 0))]
+    psi_off = psi[off]
+    if np.any(psi_off <= 0):
+        bad = off[int(np.argmax(psi_off <= 0))]
         raise DivisionGuardError(
             f"aggregate supply of good {bad} is not positive; the recession "
             "denominator needs positive supply",
@@ -161,12 +177,22 @@ def recession_level(psi, psi_bar, clearing_set, p1) -> float:
     shortfall = psi - snapped  # exactly zero on the clearing set
     numerator = float(shortfall[off].sum())
     inner = float(shortfall @ p1)
-    if abs(inner - numerator) > ROUNDING * float(psi[off].sum()):
+    denominator = float(psi_off.sum())
+    if abs(inner - numerator) > ROUNDING * denominator:
         raise AssertionError(
             "inner-product and reduced recession forms disagree: "
             f"{inner!r} vs {numerator!r}"
         )
-    return numerator / float(psi[off].sum())
+    return numerator / denominator
+
+
+@functools.cache
+def _off_price_factors(m):
+    """Factors for ``m`` off-clearing prices in each of three spot checks,
+    from a fixed seed so that every report is deterministic (read-only)."""
+    factors = np.random.default_rng(0).uniform(0.5, 2.0, size=(3, m))
+    factors.flags.writeable = False
+    return factors
 
 
 def degeneracy_report(solution: EquilibriumSolution, C, B,
@@ -178,9 +204,12 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
     satisfaction ratios from the clearing-supported price, and spot-checks
     that prices off the clearing set leave the modified-supply market
     unchanged (the degeneracy freedom that motivates the multiplicity).
+    ``C``, ``B`` and ``p0`` are checked once, here; the steps after that
+    are the cores of :func:`real_consumption`, :func:`modified_supply`,
+    :func:`generalized_price` and :func:`recession_level`.
     """
     C, B, p = as_economy(C, B, solution.p0)
-    check = is_equilibrium(C, B, p, tol=tol)
+    check = is_equilibrium_unchecked(C, B, p, tol=tol)
     if not check.ok:
         raise PreconditionError(
             "solution no longer passes the equilibrium check against C, B",
@@ -209,20 +238,20 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
 
     y = demand_weights(C, B, p_support)
     psi = B.sum(axis=1)
-    psi_bar = real_consumption(C, y)
-    B0 = modified_supply(C, B, y, idx)
-    p1 = generalized_price(p_support, psi, idx)
-    R = recession_level(psi, psi_bar, idx, p1)
+    psi_bar = _real_consumption(C, y)
+    B0 = _modified_supply(C, B, y, idx)
+    p1 = _generalized_price(p_support, psi, idx, off)
+    R = _recession_level(psi, psi_bar, p1.p, idx, off)
 
-    base = excess_demand(C, B0, p1.p)
-    rng = np.random.default_rng(0)  # fixed seed: the report is deterministic
-    freedom_tol = ROUNDING * magnitude(psi)
-    for _ in range(3):
-        perturbed = p1.p.copy()
-        if off:
-            perturbed[off] *= rng.uniform(0.5, 2.0, size=len(off))
-        drift = float(np.abs(excess_demand(C, B0, perturbed) - base).max())
-        if drift > freedom_tol:
+    if off:
+        # p1 and three draws of its off-clearing prices, one row each, priced
+        # by one product. Supply does not move with prices, so the drift of
+        # excess demand is the drift of demand.
+        prices = np.repeat(p1.p[None, :], 4, axis=0)
+        prices[1:, off] *= _off_price_factors(len(off))
+        demand = C @ demand_weights(C, B0, prices.T)
+        drift = float(np.abs(demand[:, 1:] - demand[:, :1]).max())
+        if drift > ROUNDING * magnitude(psi):
             raise PreconditionError(
                 f"off-clearing prices moved the modified-supply market by "
                 f"{drift:.3e}; the clearing equations are not degenerate here",

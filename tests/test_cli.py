@@ -348,3 +348,68 @@ class TestStartup:
         assert solved["I"] == [1, 2]
         assert child["optimize_after"]
         assert child["label"] == tradequil.certify_consistency(C, B, I=(0, 1)).label
+
+
+# One process reuses one parser: an ingest, a solve for the wrong year, a
+# command line that argparse refuses and a good solve, in that order. The
+# good solve gives no --year, so a year left over from the call before it
+# would fail it.
+SEQUENCE = [
+    ["ingest", "--input", "flows.csv", "--out", "m"],
+    ["solve", "--input", "m/matrices_2020.json", "--out", "wrong", "--year", "2019"],
+    ["solve", "--input", "m/matrices_2020.json"],
+    ["solve", "--input", "m/matrices_2020.json", "--out", "good"],
+]
+SEQUENCE_CHILD = """
+import json, sys
+from tradequil.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes), file=sys.stderr)
+"""
+
+
+def tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_a_fresh_interpreter(self, tmp_path, monkeypatch,
+                                                            capsys):
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for cwd in (here, fresh):
+            cwd.mkdir()
+            write_csv(cwd)
+        # The width that argparse wraps its usage line to.
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(tradequil.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", SEQUENCE_CHILD, json.dumps(SEQUENCE)],
+                               cwd=fresh, env=env, capture_output=True, text=True,
+                               check=True, timeout=120)
+        *child_err, child_codes = child.stderr.splitlines()
+
+        monkeypatch.chdir(here)
+        codes = []
+        for argv in SEQUENCE:
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        captured = capsys.readouterr()
+
+        assert codes == json.loads(child_codes) == [EXIT_OK, EXIT_INPUT, EXIT_INPUT, EXIT_OK]
+        assert captured.out == child.stdout
+        assert captured.err.splitlines() == child_err
+        assert "not requested 2019" in captured.err
+        assert "the following arguments are required: --out" in captured.err
+        assert tree_bytes(here) == tree_bytes(fresh)
+        assert sorted(path.name for path in (here / "good").iterdir()) == [
+            "recession.csv", "recession.json", "report.txt", "solution.json"]
+        assert not (here / "wrong").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_economy
+from tradequil import recession
 from tradequil import (
     DivisionGuardError,
     PreconditionError,
@@ -17,6 +18,7 @@ from tradequil import (
     solve_D,
     solve_fixed_point,
 )
+from tradequil.equilibrium_solver import demand_weights
 
 BOUNDARY_C = np.array([[1.0], [1.0]])
 BOUNDARY_B = np.array([[2.0], [1.0]])
@@ -207,3 +209,38 @@ class TestDegeneracyReport:
         wrong_B = np.array([[0.5], [1.0]])  # good 1 now undersupplied
         with pytest.raises(PreconditionError):
             degeneracy_report(solution, BOUNDARY_C, wrong_B)
+
+    def test_report_equals_the_public_helpers_chained(self, rng):
+        # The report skips the helpers' input checks but not their formulas.
+        partial = 0
+        for trial in range(12):
+            C, B = random_economy(rng, n_max=6, l_max=6)
+            if trial % 2:
+                B = B.copy()
+                B[int(rng.integers(0, C.shape[0]))] *= 3.0  # partial clearing
+            solution = solve_fixed_point(C, B)
+            report = degeneracy_report(solution, C, B)
+            idx = list(report.clearing_set)
+            p = np.zeros(C.shape[0])
+            p[idx] = solution.p0.p[idx]
+            p /= p.sum()
+            y = demand_weights(C, B, p)
+            psi = B.sum(axis=1)
+            psi_bar = real_consumption(C, y)
+            p1 = generalized_price(p, psi, idx)
+            np.testing.assert_array_equal(report.psi_bar, psi_bar)
+            np.testing.assert_array_equal(report.B0, modified_supply(C, B, y, idx))
+            np.testing.assert_array_equal(report.p1.p, p1.p)
+            assert report.R == recession_level(psi, psi_bar, idx, p1)
+            partial += report.multiplicity > 0
+        assert partial >= 3
+
+    def test_freedom_check_refuses_a_non_degenerate_supply(self, monkeypatch):
+        # With the supply left as it is, the price of the oversupplied good 0
+        # moves the single agent's demand, so the clearing equations are not
+        # degenerate and the spot checks must say so.
+        solution = solve_fixed_point(BOUNDARY_C, BOUNDARY_B)
+        monkeypatch.setattr(recession, "_modified_supply", lambda C, B, y, idx: B.copy())
+        with pytest.raises(PreconditionError, match="not degenerate") as err:
+            degeneracy_report(solution, BOUNDARY_C, BOUNDARY_B)
+        assert err.value.condition == "degeneracy_freedom"

@@ -6,10 +6,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIRECT_SOLVES = ROOT / "tools" / "direct_solves.py"
+BENCH_DIGESTS = ROOT / "tools" / "bench_digests.py"
 
 
-def run(*args, status=0):
-    proc = subprocess.run([sys.executable, str(DIRECT_SOLVES), *map(str, args)],
+def run(*args, status=0, tool=DIRECT_SOLVES):
+    proc = subprocess.run([sys.executable, str(tool), *map(str, args)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == status, proc.stderr
     return proc
@@ -122,3 +123,57 @@ class TestDirectSolves:
         assert ("failures by class B: violation 2, stall 1, cap 1, no good clears 1, "
                 "other 1") in report
         assert "failures by class A: violation 2, stall 1" in run("--compare", b, a).stdout
+
+
+class TestBenchDigests:
+    # The fields of a bench/run.py record that the tool reads: a CLI call's
+    # digest maps its output files to SHA-256, a structure operation's maps
+    # its steps to verdicts, and a failed call's is null.
+    RECORD = {
+        "workload": "structure", "seed": 9601,
+        "digests": {
+            "ingest/0": {"matrices_2016.json": "a1", "matrices_2017.json": "a2"},
+            "solve/0/2016": {"recession.csv": "b1", "recession.json": "b2",
+                             "report.txt": "b3", "solution.json": "b4"},
+            "solve/0/2017": None,
+            "structure/0/2016": {"certify_consistency": "strict", "exists_ideal": True},
+            "solve/10/2016": {"recession.csv": "c1", "recession.json": "c2",
+                              "report.txt": "c3", "solution.json": "c4"},
+        },
+    }
+
+    def write(self, path, record):
+        path.write_text(json.dumps(record), encoding="utf-8")
+        return path
+
+    def test_same_digests_pass(self, tmp_path):
+        a = self.write(tmp_path / "a.json", self.RECORD)
+        report = run(a, a, tool=BENCH_DIGESTS).stdout
+        assert "calls: A 5, B 5, both 5; differing 0, only in A 0, only in B 0" in report
+
+    def test_doctored_record_lists_every_differing_call(self, tmp_path):
+        a = self.write(tmp_path / "a.json", self.RECORD)
+        doctored = json.loads(json.dumps(self.RECORD))
+        digests = doctored["digests"]
+        digests["solve/0/2016"].update({"recession.json": "x", "report.txt": "y"})
+        digests["solve/0/2017"] = {"solution.json": "z"}
+        digests["structure/0/2016"]["exists_ideal"] = False
+        del digests["ingest/0"]
+        digests["solve/1/2016"] = None
+        b = self.write(tmp_path / "b.json", doctored)
+        lines = run(a, b, status=1, tool=BENCH_DIGESTS).stdout.splitlines()
+        assert lines[2:] == [
+            "calls: A 5, B 5, both 4; differing 3, only in A 1, only in B 1",
+            "differs: solve/0/2016: recession.json, report.txt",
+            "differs: solve/0/2017: failed in A",
+            "differs: structure/0/2016: exists_ideal",
+            "only in A: ingest/0",
+            "only in B: solve/1/2016",
+        ]
+        assert "differs: solve/0/2017: failed in B" in run(b, a, status=1, tool=BENCH_DIGESTS).stdout
+
+    def test_records_of_other_seeds_are_refused(self, tmp_path):
+        a = self.write(tmp_path / "a.json", self.RECORD)
+        b = self.write(tmp_path / "b.json", {**self.RECORD, "seed": 9611})
+        report = run(a, b, status=2, tool=BENCH_DIGESTS).stdout
+        assert "different workloads or seeds" in report
