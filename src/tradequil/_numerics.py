@@ -11,26 +11,25 @@ module.
 
 Linear programs skip ``scipy.optimize.linprog`` and call HiGHS through the
 binding scipy ships with it, on one HiGHS instance per thread that every call
-reuses. The cone LPs are small: on the LPs of the benchmark's structure
-analyses a call took on average 2.1 ms through linprog's per-call checks,
-option validation and sparse conversion, 0.76 ms with a new HiGHS instance and
-options record per call, and 0.50 ms on the reused instance, of which HiGHS's
-own solve is about 0.23 ms (2-vCPU host). Each call resets the instance's
-options before it sets its own and passes a whole new model, so no state
-carries over from one LP to the next. The binding runs the same solver with
-the same options, ``linprog`` repeats scipy's check of the optimum, and
-``tests/test_numerics.py`` checks that the answers agree to the bit, in any
+reuses; ``linprog`` returns the checked optimum, None for an infeasible
+program, and raises for anything else. The cone LPs are small: on the 4,065
+LPs of the benchmark's structure analyses (seeds 501-510) a call took on
+average 1.41 ms through ``scipy.optimize.linprog`` and 0.22 ms here, of
+which HiGHS's own solve is about 0.10 ms (one process, the two interleaved,
+2-vCPU host). The instance keeps scipy's options, and each call sets the
+feasibility tolerance and passes a whole new model, so no state carries over
+from one LP to the next. The binding runs the same solver with the same
+options, ``linprog`` repeats scipy's check of the optimum, and
+``tests/test_numerics.py`` checks that the optima agree to the bit, in any
 order of calls and from two threads.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import PreconditionError, RankDeficiencyError
+from .errors import NonConvergenceError, PreconditionError, RankDeficiencyError
 
 # The tolerance policy. Every tolerance is relative: a quantity that carries
 # currency units is compared with ``TOL * magnitude(data it came from)``, never
@@ -50,102 +49,85 @@ def magnitude(*arrays):
     return max(float(np.abs(a).max(initial=0.0)) for a in arrays)
 
 
-# The HiGHS instance of each thread, made by its first LP.
+# The HiGHS instance of each thread, made by its first LP, and HiGHS's
+# default feasibility tolerance, read from it then.
 _solvers = threading.local()
 
 
-class LPResult(NamedTuple):
-    """What :func:`linprog` returns: ``x`` is None unless HiGHS found an optimum."""
-
-    x: np.ndarray | None
-    status: int
-    success: bool
-    message: str
-
-
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
-            options=None):
-    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
-    and ``bounds``: ``scipy.optimize.linprog(method="highs")`` without its
-    per-call wrapper.
+def linprog(c, A_eq, b_eq, A_ub=None, b_ub=None, upper=None, feasibility_tol=None):
+    """``x`` minimizing ``c @ x`` subject to ``A_eq @ x == b_eq``,
+    ``A_ub @ x <= b_ub`` and ``0 <= x <= upper`` (no upper bound by
+    default), or None when HiGHS finds the program infeasible.
 
     Solves on this thread's ``_Highs`` instance from scipy's private HiGHS
-    binding, ``scipy.optimize._highspy._core``, made by the thread's first LP
-    and reused by every later one. Each call resets the instance's options,
-    sets the ones scipy's wrapper sets (presolve on, dual simplex, no output)
-    and then ``options`` by name, and passes a whole new model, so the answer
-    is bit for bit that of ``linprog(method="highs")`` whatever was solved
-    before; an option HiGHS does not know, or whose value it refuses, raises
-    ValueError. ``bounds`` is one ``(low, high)`` pair for every column
-    or one per column, None meaning unbounded. ``status`` is scipy's code:
-    0 optimal, 1 time or iteration limit, 2 infeasible or model error,
-    3 unbounded, 4 otherwise, which includes an optimum that misses a bound
-    or a row by more than scipy's absolute check of ``10 * sqrt(1e-9)``.
+    binding, ``scipy.optimize._highspy._core``, with the options scipy's
+    wrapper sets, so an optimum is bit for bit that of
+    ``scipy.optimize.linprog(method="highs")`` whatever was solved before.
+    Each call sets only the primal feasibility tolerance, ``feasibility_tol``
+    or HiGHS's default, and passes the whole model as arrays. Raises
+    ValueError when the shapes disagree or HiGHS refuses ``feasibility_tol``,
+    and NonConvergenceError when HiGHS refuses the model, the program ends
+    other than optimal or infeasible (a limit, unbounded), or the optimum
+    misses a bound or a row by more than scipy's check of ``10 * sqrt(1e-9)``.
     """
-    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                               MatrixFormat, _Highs, kHighsInf)
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
     c = np.asarray(c, dtype=float).ravel()
     n = c.shape[0]
-    A_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    A_eq = np.empty((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float).ravel()
     b_ub = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    b_eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    A = np.vstack([A_ub, A_eq])
-    if A.shape != (b_ub.shape[0] + b_eq.shape[0], n):
-        raise ValueError(f"constraint matrix of shape {A.shape} does not match "
-                         f"{b_ub.shape[0]} + {b_eq.shape[0]} rows and {n} columns")
-    bounds = np.broadcast_to(np.array(bounds, dtype=float), (n, 2))  # None -> nan
-
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-    lp.col_cost_ = c
-    lp.col_lower_ = lower = np.where(np.isnan(bounds[:, 0]), -kHighsInf, bounds[:, 0])
-    lp.col_upper_ = upper = np.where(np.isnan(bounds[:, 1]), kHighsInf, bounds[:, 1])
-    lp.row_lower_ = np.concatenate([np.full(b_ub.shape[0], -kHighsInf), b_eq])
-    lp.row_upper_ = rhs = np.concatenate([b_ub, b_eq])
+    A = np.asarray(A_eq, dtype=float)
+    if A_ub is not None:  # rows in scipy's order, inequalities first
+        A = np.vstack([np.asarray(A_ub, dtype=float), A])
+    m_ub = b_ub.shape[0]
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    # HiGHS reads n upper bounds whatever the length of the array.
+    if A.shape != (m_ub + b_eq.shape[0], n) or upper.shape != (n,):
+        raise ValueError(f"constraint matrix of shape {A.shape} and upper bounds of shape "
+                         f"{upper.shape} do not match {m_ub} + {b_eq.shape[0]} rows and "
+                         f"{n} columns")
+    rhs = np.concatenate([b_ub, b_eq])
     # The nonzeros column by column, as scipy's csc_array stores them.
     cols, rows = np.nonzero(A.T)
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1))
-    lp.a_matrix_.index_ = rows
-    lp.a_matrix_.value_ = A[rows, cols]
 
     highs = getattr(_solvers, "highs", None)
     if highs is None:
         highs = _solvers.highs = _Highs()
-    highs.resetOptions()
-    settings = {"presolve": "on", "simplex_strategy": 1,  # dual simplex
-                "output_flag": False, "log_to_console": False, "highs_debug_level": 0,
-                **(options or {})}
-    for key, value in settings.items():
-        if highs.setOptionValue(key, value) == HighsStatus.kError:
-            raise ValueError(f"HiGHS refused the option {key}={value!r}")
-    if highs.passModel(lp) == HighsStatus.kError:
-        model_status = HighsModelStatus.kModelError
-    else:
-        highs.run()
-        model_status = highs.getModelStatus()
-    status = {HighsModelStatus.kOptimal: 0,
-              HighsModelStatus.kTimeLimit: 1, HighsModelStatus.kIterationLimit: 1,
-              HighsModelStatus.kInfeasible: 2, HighsModelStatus.kModelError: 2,
-              HighsModelStatus.kUnbounded: 3}.get(model_status, 4)
-    message = (f"{highs.modelStatusToString(model_status)} "
-               f"(HiGHS model status {int(model_status)})")
-    x = None
-    if status == 0:
-        solution = highs.getSolution()
-        x = np.array(solution.col_value)
-        # scipy's _check_result; a nan anywhere fails it too.
-        tol = 10 * np.sqrt(1e-9)
-        slack = rhs - np.array(solution.row_value)
-        if not (np.all((x >= lower - tol) & (x <= upper + tol))
-                and np.all(slack[:b_ub.shape[0]] >= -tol)
-                and np.all(np.abs(slack[b_ub.shape[0]:]) <= tol)):
-            status = 4
-            message = f"the optimum misses a bound or a row by more than {tol:.2e}"
-    return LPResult(x, status, status == 0, message)
+        # scipy's settings: presolve on, dual simplex, no output.
+        for key, value in (("presolve", "on"), ("simplex_strategy", 1),
+                           ("output_flag", False), ("log_to_console", False),
+                           ("highs_debug_level", 0)):
+            highs.setOptionValue(key, value)
+        _solvers.default_tol = highs.getOptionValue("primal_feasibility_tolerance")[1]
+    tol = _solvers.default_tol if feasibility_tol is None else feasibility_tol
+    if highs.setOptionValue("primal_feasibility_tolerance", tol) == HighsStatus.kError:
+        raise ValueError(f"HiGHS refused the feasibility tolerance {tol!r}")
+    if highs.passModel(
+            n, A.shape[0], rows.shape[0], 1, 1, 0.0,  # column-wise, minimize
+            c, np.zeros(n), upper,
+            np.concatenate([np.full(m_ub, -np.inf), b_eq]), rhs,
+            np.searchsorted(cols, np.arange(n)).astype(np.int32),
+            rows.astype(np.int32), A[rows, cols],
+            np.zeros(n, np.int32)) == HighsStatus.kError:
+        raise NonConvergenceError("HiGHS refused the linear program")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == HighsModelStatus.kInfeasible:
+        return None
+    if status != HighsModelStatus.kOptimal:
+        raise NonConvergenceError(f"linear program ended {highs.modelStatusToString(status)} "
+                                  f"(HiGHS model status {int(status)})")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    # scipy's _check_result; a nan anywhere fails it too.
+    check = 10 * np.sqrt(1e-9)
+    slack = rhs - np.array(solution.row_value)
+    if not (np.all((x >= -check) & (x <= upper + check))
+            and np.all(slack[:m_ub] >= -check)
+            and np.all(np.abs(slack[m_ub:]) <= check)):
+        raise NonConvergenceError(
+            f"the optimum misses a bound or a row by more than {check:.2e}")
+    return x
 
 
 def nnls_solve(A, b):

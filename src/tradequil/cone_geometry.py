@@ -269,7 +269,8 @@ def interior_subset(C, psi):
     """Independent columns of ``C`` whose subcone has ``psi`` in its interior.
 
     Tries the support of a simplex vertex of ``{z >= 0 : A z = psi / max|psi|}``
-    (``A`` the unit-normalized columns of ``C``), then every ``rank(C)``-subset
+    (``A`` the unit-normalized columns of ``C``), unless that program fails
+    to end optimal or infeasible, then every ``rank(C)``-subset
     of the columns in lexicographic order, in one loop: a candidate of the
     wrong size, or one that :func:`classify_membership` finds dependent, is
     skipped. Returns ``(subset, result)``, or ``(None, best)`` with ``best``
@@ -281,14 +282,17 @@ def interior_subset(C, psi):
     r = numerical_rank(C)
     A, _ = unit_columns(C)
     scale = float(np.abs(psi).max(initial=0.0)) or 1.0
-    vertex = linprog(np.ones(C.shape[1]), A_eq=A, b_eq=psi / scale, bounds=(0, None))
-    if vertex.status == 2:
-        return None, None
     candidates = itertools.combinations(range(C.shape[1]), r)
-    if vertex.status == 0:
+    try:
+        vertex = linprog(np.ones(C.shape[1]), A, psi / scale)
+    except NonConvergenceError:
+        pass  # no vertex: the enumeration decides
+    else:
+        if vertex is None:
+            return None, None
         # Basic coordinates of the vertex are cone coordinates in exactly the
         # normalization classify_membership decides on.
-        support = tuple(int(j) for j in np.flatnonzero(vertex.x > BASE_TOL))
+        support = tuple(int(j) for j in np.flatnonzero(vertex > BASE_TOL))
         candidates = itertools.chain([support], candidates)
     best = None
     for count, subset in enumerate(candidates, start=1):
@@ -440,15 +444,12 @@ def max_margin(C, psi):
     # With z = w + t and w >= 0 the bounds z >= t become column sums.
     cost = np.zeros(l + 1)
     cost[-1] = -1.0
-    res = linprog(cost, A_eq=np.hstack([A, A.sum(axis=1, keepdims=True)]), b_eq=b,
-                  bounds=[(0, None)] * l + [(0, 1)],
-                  options={"primal_feasibility_tolerance": BASE_TOL})
-    if res.status == 2:
+    x = linprog(cost, np.hstack([A, A.sum(axis=1, keepdims=True)]), b,
+                upper=np.append(np.full(l, np.inf), 1.0), feasibility_tol=BASE_TOL)
+    if x is None:
         return None
-    if res.status != 0:
-        raise NonConvergenceError(f"cone linear program failed: {res.message}")
-    t = float(res.x[-1])
-    z = np.maximum(res.x[:-1], 0.0) + t
+    t = float(x[-1])
+    z = np.maximum(x[:-1], 0.0) + t
     residual = float(np.abs(A @ z - b).max())
     if residual > BASE_TOL * max(1.0, float(z.max())):  # A, b, z are unit-free
         raise NonConvergenceError(

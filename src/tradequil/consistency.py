@@ -338,17 +338,10 @@ def _max_smallest(G, A_eq, b_eq, h=None):
     # Variables (x_1..x_k, t); maximize t.
     cost = np.zeros(k + 1)
     cost[-1] = -1.0
-    res = linprog(cost, A_ub=np.hstack([-G, np.ones((m, 1))]),
-                  b_ub=np.zeros(m) if h is None else -h,
-                  A_eq=np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]), b_eq=b_eq,
-                  bounds=[(0, None)] * k + [(0, 1)],
-                  options={"primal_feasibility_tolerance": BASE_TOL})
-    if res.status == 2:
-        return None
-    if not res.success:
-        raise NonConvergenceError(f"linear program ended with status {res.status}: "
-                                  f"{res.message}")
-    return res.x[-1], res.x[:-1]
+    x = linprog(cost, np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]), b_eq,
+                A_ub=np.hstack([-G, np.ones((m, 1))]), b_ub=np.zeros(m) if h is None else -h,
+                upper=np.append(np.full(k, np.inf), 1.0), feasibility_tol=BASE_TOL)
+    return None if x is None else (x[-1], x[:-1])
 
 
 def solve_D(fact: Factorization, y=None) -> DVector:

@@ -422,7 +422,7 @@ def _accept(C, B, psi, G_last, p, tol, iterations):
     ``<C y, p> = <psi, p>`` holds to ``RESIDUAL_TOL``.
     """
     last_epsilon = EPSILONS[-1]
-    check = is_equilibrium(C, B, p, tol=tol)
+    check = is_equilibrium_unchecked(C, B, p, tol=tol)
     if not check.ok:
         k, worst = max(check.violations, key=lambda violation: violation[1])
         raise NonConvergenceError(

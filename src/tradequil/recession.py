@@ -211,8 +211,12 @@ def degeneracy_report(solution: EquilibriumSolution, C, B,
     C, B, p = as_economy(C, B, solution.p0)
     check = is_equilibrium_unchecked(C, B, p, tol=tol)
     if not check.ok:
+        share = check.excess / B.sum(axis=1)
+        k = max((k for k, _ in check.violations), key=lambda k: share[k])
         raise PreconditionError(
-            "solution no longer passes the equilibrium check against C, B",
+            f"solution no longer passes the equilibrium check against C, B at "
+            f"tol={tol:g}: good {k + 1} (1-based) has the largest excess demand, "
+            f"{share[k]:.3g} of its aggregate supply",
             condition="solution_is_equilibrium",
         )
     if tuple(solution.clearing_set) != check.clearing_set:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tradequil
-from test_equilibrium import FADING_B, FADING_C
+from test_equilibrium import DRIFTING_B, DRIFTING_C, FADING_B, FADING_C
 from tradequil import CostMatrices
 from tradequil.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 
@@ -305,6 +305,23 @@ class TestReport:
         assert code == EXIT_INPUT
         assert "clearing set" in capsys.readouterr().err
         assert not (out / "re").exists()
+
+    def test_solution_of_a_looser_solve_names_the_tolerance(self, tmp_path, capsys):
+        # A solve at --tol 1e-2 accepts a point where good 2's excess demand
+        # is 0.59 % of its supply; report checks at the default 1e-6.
+        matrices = tmp_path / "matrices.json"
+        matrices.write_text(json.dumps(CostMatrices.from_supply_demand(
+            DRIFTING_C, DRIFTING_B).to_dict()), encoding="utf-8")
+        assert run("solve", "--input", matrices, "--out", tmp_path / "run",
+                   "--tol", "1e-2") == EXIT_OK
+        capsys.readouterr()
+        code = run("report", "--input", tmp_path / "run" / "solution.json",
+                   "--matrices", matrices, "--out", tmp_path / "re")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert ("at tol=1e-06: good 2 (1-based) has the largest excess demand, 0.00588 "
+                "of its aggregate supply") in err
+        assert not (tmp_path / "re").exists()
 
 
 # Runs in a fresh interpreter: the CLI steps that need no scipy, among them a

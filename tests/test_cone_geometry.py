@@ -226,8 +226,8 @@ class TestInteriorSubset:
         # lexicographic order holds psi in its interior.
         C = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
         psi = np.ones(3)
-        vertex = cone_geometry.linprog(np.ones(4), A_eq=C / np.linalg.norm(C, axis=0), b_eq=psi)
-        assert tuple(np.flatnonzero(vertex.x > 1e-9)) == (2, 3)
+        vertex = cone_geometry.linprog(np.ones(4), C / np.linalg.norm(C, axis=0), psi)
+        assert tuple(np.flatnonzero(vertex > 1e-9)) == (2, 3)
         classified = []
         real = cone_geometry.classify_membership
 
@@ -244,6 +244,25 @@ class TestInteriorSubset:
         np.testing.assert_array_equal(classified[0], C[:, [0, 1, 2]].T)
         fam = positive_solution_family(C, psi)
         assert (fam.subset, fam.free) == ((0, 1, 2), (3,))
+
+    def test_failed_vertex_program_falls_back_to_the_enumeration(self, monkeypatch, rng):
+        # A program that ends other than optimal or infeasible gives no vertex
+        # and no verdict; the enumeration alone finds an interior subset.
+        C = rng.uniform(0.1, 1.0, (3, 6))
+        psi = C @ rng.uniform(0.5, 1.0, 6)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise NonConvergenceError("iteration limit reached")
+
+        monkeypatch.setattr(cone_geometry, "linprog", failing)
+        subset, res = interior_subset(C, psi)
+        assert calls == [1]
+        assert len(subset) == 3 and res.verdict is Membership.INTERIOR
+        np.testing.assert_allclose(C[:, list(subset)] @ res.alpha, psi, rtol=1e-12)
+        with pytest.raises(NonConvergenceError, match="iteration limit"):
+            max_margin(C, psi)
 
 
 class TestNumericalRank:
@@ -413,9 +432,9 @@ class TestStrictlyPositiveSolution:
         real = cone_geometry.linprog
 
         def perturbed(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x[0] += 1e-6
-            return res
+            x = real(*args, **kwargs)
+            x[0] += 1e-6
+            return x
 
         monkeypatch.setattr(cone_geometry, "linprog", perturbed)
         with pytest.raises(NonConvergenceError):

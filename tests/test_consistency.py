@@ -477,11 +477,23 @@ class TestUnverifiedFactor:
         real = cone_geometry.linprog
 
         def perturbed(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x[0] += 1e-6
-            return res
+            x = real(*args, **kwargs)
+            x[0] += 1e-6
+            return x
 
         monkeypatch.setattr(cone_geometry, "linprog", perturbed)
+        assert certify_consistency(C, B).label == "none"
+
+    def test_failed_program_downgrades_the_label(self, monkeypatch):
+        # A cone program that ends other than optimal or infeasible raises;
+        # no factor is certified from it and the label is still returned.
+        C = np.array([[2.0, 0.0], [0.0, 3.0]])
+        B = np.array([[1.0, 1.0], [1.0, 2.0]])
+
+        def failing(*args, **kwargs):
+            raise NonConvergenceError("iteration limit reached")
+
+        monkeypatch.setattr(cone_geometry, "linprog", failing)
         assert certify_consistency(C, B).label == "none"
 
 

@@ -95,6 +95,25 @@ class TestDirectSolves:
         assert ("verdict changed: structure seed 502 panel 0/2016 exists_ideal: "
                 f"{was} → {flipped}") in report
 
+    def test_lp_counts_are_recorded_and_listed_but_do_not_gate(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        run("structure", 502, "--panels", 1, "--out", out)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        counts = [r["lp_calls"] for r in records]
+        assert all(isinstance(n, int) and n > 0 for n in counts)
+        total = sum(counts)
+        report = run("--compare", out, out).stdout
+        assert f"LP calls: structure seed 502: {total:,} → {total:,}" in report
+        assert "LP counts compared: 4, changed: 0" in report
+        records[3]["lp_calls"] += 2
+        more = tmp_path / "more.jsonl"
+        more.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = run("--compare", out, more).stdout
+        assert f"LP calls: structure seed 502: {total:,} → {total + 2:,}" in report
+        assert "LP counts compared: 4, changed: 1" in report
+        assert (f"LP calls changed: structure seed 502 panel 0/2019: "
+                f"{counts[3]} → {counts[3] + 2}") in report
+
     def test_failures_are_counted_by_class(self, tmp_path):
         messages = [
             "converged point violates the equilibrium inequalities by 1.0e+08 at good 3",

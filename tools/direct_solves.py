@@ -18,19 +18,23 @@ calls, ``certify_consistency`` without and with ``I``, ``factor_supply`` and
 ``exists_ideal``, and ``ops`` records the verdict of each: the label, the
 factor's mode, ``exists`` or ``no ideal``, or the class of the error raised.
 ``ideal_reason`` holds the first clause of the reason ``exists_ideal`` gives
-for ``no ideal`` (None otherwise). Their warnings are not counted in
-``warnings``.
+for ``no ideal`` (None otherwise), and ``lp_calls`` the number of linear
+programs the four calls solved, counted as ``bench/tracing.py`` counts them:
+by rebinding ``linprog`` in ``tradequil.cone_geometry`` and
+``tradequil.consistency``. Their warnings are not counted in ``warnings``.
 
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations in all and
 per solve at the median, the solves' median seconds, the years where ``I``
 changed and ``|Δp0|`` where both solved, each side's failures by class
 (``FAILURE_CLASSES``, read from the message) and every structure verdict
-and every ``ideal_reason`` that differs where both files have one. It exits
+and every ``ideal_reason`` that differs where both files have one, then the
+LP totals of each seed and every year whose ``lp_calls`` differ. It exits
 with status 1 when B fails a solve that A solved or changes a structure
 verdict, and 0 otherwise, so it can gate a change on its own. A changed
-reason alone does not gate: the wording of a reason may change while
-``exists`` does not.
+reason or LP count alone does not gate: the wording of a reason may change
+while ``exists`` does not, and a change may solve more or fewer LPs on
+purpose.
 """
 
 import os
@@ -40,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import importlib
 import json
 import statistics
 import sys
@@ -90,6 +95,29 @@ def structure_verdicts(tradequil, C, B, clearing):
     return verdicts, reason
 
 
+def count_lps(run):
+    """``(run(), n)`` with ``n`` the linear programs solved during ``run``,
+    counted through ``linprog`` in the two modules that call it."""
+    modules = [importlib.import_module(f"tradequil.{name}")
+               for name in ("cone_geometry", "consistency")]
+    originals = [module.linprog for module in modules]
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return call
+
+    for module, real in zip(modules, originals):
+        module.linprog = counted(real)
+    try:
+        return run(), len(calls)
+    finally:
+        for module, real in zip(modules, originals):
+            module.linprog = real
+
+
 def solve_records(kind, seeds, panels, src):
     """Yield one record per year of every panel of every seed."""
     sys.path.insert(0, str(src))
@@ -122,8 +150,8 @@ def solve_records(kind, seeds, panels, src):
                         record["seconds"] = time.perf_counter() - start
                     record["warnings"] = dict(Counter(w.category.__name__ for w in caught))
                     if kind == "structure" and record["ok"]:
-                        record["ops"], record["ideal_reason"] = structure_verdicts(
-                            tradequil, cm.C, cm.B, tuple(record["I"]))
+                        (record["ops"], record["ideal_reason"]), record["lp_calls"] = count_lps(
+                            lambda: structure_verdicts(tradequil, cm.C, cm.B, tuple(record["I"])))
                     yield record
 
 
@@ -208,6 +236,18 @@ def compare(path_a, path_b):
         for (kind, seed, panel, year), ra, rb in reason_changes:
             print(f"reason changed: {kind} seed {seed} panel {panel}/{year} exists_ideal: "
                   f"{ra} → {rb}")
+    lps = [(key, a[key]["lp_calls"], b[key]["lp_calls"])
+           for key in keys if "lp_calls" in a[key] and "lp_calls" in b[key]]
+    lp_totals = defaultdict(Counter)
+    for key, na, nb in lps:
+        lp_totals[key[:2]].update(a=na, b=nb)
+    for (kind, seed), sums in sorted(lp_totals.items()):
+        print(f"LP calls: {kind} seed {seed}: {sums['a']:,} → {sums['b']:,}")
+    lp_changes = [lp for lp in lps if lp[1] != lp[2]]
+    if lps:
+        print(f"LP counts compared: {len(lps)}, changed: {len(lp_changes)}")
+        for (kind, seed, panel, year), na, nb in lp_changes:
+            print(f"LP calls changed: {kind} seed {seed} panel {panel}/{year}: {na} → {nb}")
     for key in keys:
         if a[key]["ok"] != b[key]["ok"]:
             kind, seed, panel, year = key
