@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numerics import DEFAULT_TOL, DEFAULT_TOL_INNER
+from ._numerics import DEFAULT_TOL
 from .equilibrium_solver import (
     EquilibriumSolution,
     excess_demand,
@@ -42,10 +42,8 @@ def _fmt(value):
 
 
 def _block(title, labels, values):
-    lines = [title]
-    for label, value in zip(labels, values):
-        lines.append(f"  {label}: {_fmt(value)}")
-    return lines
+    """``title``, one ``label: value`` line per label and a blank line."""
+    return [title, *(f"  {label}: {_fmt(value)}" for label, value in zip(labels, values)), ""]
 
 
 def render_report(cm: CostMatrices, solution: EquilibriumSolution,
@@ -61,32 +59,26 @@ def render_report(cm: CostMatrices, solution: EquilibriumSolution,
         "1. The trade balance of countries in the current prices:",
         cm.countries, cm.balances,
     )
-    lines.append("")
     lines += _block(
         "2. The excess demand in the current prices:",
         cm.goods, excess_demand(cm.C, cm.B, ones),
     )
-    lines.append("")
     lines += _block(
         "3. The equilibrium price vector:", cm.goods, solution.p0.p
     )
-    lines.append("")
     lines += _block(
         "4. The excess demand under the equilibrium price vector:",
         cm.goods, solution.excess,
     )
-    lines.append("")
     lines += _block(
         "5. The vector y of satisfactions of consumer needs in the "
         "equilibrium state:",
         cm.countries, solution.y,
     )
-    lines.append("")
     lines += _block(
         "6. The generalized relative equilibrium price vector:",
         cm.goods, report.p1.p,
     )
-    lines.append("")
     lines.append("7. Parameter of recession level:")
     lines.append(f"  R = {_fmt(report.R)}")
     lines.append("")
@@ -157,8 +149,8 @@ def cmd_solve(args) -> int:
         raise SchemaError(
             f"matrices file is for year {scenario}, not requested {args.year}"
         )
-    solution = solve_fixed_point(cm.C, cm.B, tol=args.tol, tol_inner=args.tol_inner)
-    report = degeneracy_report(solution, cm.C, cm.B, tol=args.tol)
+    solution = solve_fixed_point(cm.C, cm.B, tol=args.tol)
+    report = degeneracy_report(solution, cm.C, cm.B)
     text = _write_outputs(args.out, cm, solution, report, scenario)
     print(text)
     return EXIT_OK
@@ -185,9 +177,13 @@ def cmd_report(args) -> int:
     cm, scenario = _load_matrices(args.matrices)
     try:
         with open(args.input, encoding="utf-8") as handle:
-            solution = EquilibriumSolution.from_dict(json.load(handle))
+            payload = json.load(handle)
+        solution = EquilibriumSolution.from_dict(payload)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"cannot read solution file {args.input}: {exc}") from exc
+    solved = payload.get("year", "unknown")
+    if "unknown" not in (solved, scenario) and solved != scenario:
+        raise SchemaError(f"solution file is for year {solved}, matrices file for {scenario}")
     report = degeneracy_report(solution, cm.C, cm.B)
     text = _write_outputs(args.out, cm, solution, report, scenario)
     print(text)
@@ -217,7 +213,6 @@ def build_parser():
     solve.add_argument("--input", required=True, help="matrices JSON path")
     solve.add_argument("--out", required=True, help="output directory")
     solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    solve.add_argument("--tol-inner", type=float, default=DEFAULT_TOL_INNER)
     solve.add_argument("--year", type=int, default=None,
                        help="assert the matrices file is for this year")
     solve.set_defaults(func=cmd_solve)

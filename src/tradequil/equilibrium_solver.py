@@ -118,10 +118,18 @@ class EquilibriumCheck:
     def __bool__(self):
         return self.ok
 
+    def worst_violation(self, psi, tol):
+        """``tol`` and the violating good whose excess is the largest share of its supply."""
+        share = self.excess / psi
+        k = max((k for k, _ in self.violations), key=lambda k: share[k])
+        return (f"at tol={tol:g}: good {k + 1} (1-based) has the largest excess "
+                f"demand, {share[k]:.3g} of its aggregate supply")
+
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Converged solver output (immutable).
+    """Verified equilibrium (immutable), with the finite, positive tolerance
+    ``tol`` at which its equilibrium inequalities and clearing set were checked.
 
     ``clearing_set`` uses 0-based indices internally; the JSON form is
     1-based.
@@ -132,36 +140,38 @@ class EquilibriumSolution:
     y: np.ndarray
     excess: np.ndarray
     iterations: int
-    final_epsilon: float
+    tol: float
     residual: float
 
-    @property
-    def I(self):
-        return self.clearing_set
+    def __post_init__(self):
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, not {self.tol!r}")
 
     def to_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "p0": self.p0.p.tolist(),
             "I": [k + 1 for k in self.clearing_set],
             "y": self.y.tolist(),
             "excess": self.excess.tolist(),
             "residual": self.residual,
             "iterations": self.iterations,
-            "epsilon": self.final_epsilon,
+            "tol": self.tol,
         }
 
     @classmethod
     def from_dict(cls, data):
         """Inverse of ``to_dict``: raises KeyError for a missing field and
-        ValueError for a malformed one (``p0`` must already sum to one)."""
+        ValueError for a malformed one (``p0`` must already sum to one, and
+        ``tol`` be finite and positive). A ``schema_version`` 1 payload
+        records no tolerance; it is read as checked at ``DEFAULT_TOL``."""
         return cls(
             p0=PriceVector(data["p0"], "simplex"),
             clearing_set=tuple(int(k) - 1 for k in data["I"]),
             y=as_vector(data["y"], "y"),
             excess=as_vector(data["excess"], "excess"),
             iterations=int(data["iterations"]),
-            final_epsilon=float(data["epsilon"]),
+            tol=DEFAULT_TOL if data.get("schema_version") == 1 else float(data["tol"]),
             residual=float(data["residual"]),
         )
 
@@ -359,8 +369,7 @@ def _newton_finish(G, p, tol):
             return None, evals
 
 
-def solve_fixed_point(C, B, tol=DEFAULT_TOL,
-                      tol_inner=DEFAULT_TOL_INNER) -> EquilibriumSolution:
+def solve_fixed_point(C, B, tol=DEFAULT_TOL) -> EquilibriumSolution:
     """Equilibrium prices via the regularized fixed-point map.
 
     Iterates ``p <- G_eps(p)`` with Newton jumps on the simplex for each
@@ -368,17 +377,17 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL,
     of the one before, whether that stage converged, stalled or reached
     ``MAX_INNER_ITERATIONS``. After every stage, at most ``FINISH_STEPS``
     plain Newton steps on the last stage's map take the stage's point to a
-    fixed-point residual of ``tol_inner``. The solution is the first stage
-    point whose Newton finish passes every check: no good's excess demand
-    above ``tol`` times its supply, a nonempty clearing set and the Walras
-    identity. Its ``final_epsilon`` is ``EPSILONS[-1]``, its ``residual``
-    is max|G(p) - p| for that last stage's map and its ``iterations``
-    count the map evaluations of the stages and of every finish. A solve
-    whose stage points all fail is repeated once without Newton jumps
-    inside the stages. Needs no scipy.
+    fixed-point residual of ``DEFAULT_TOL_INNER``. The solution is the
+    first stage point whose Newton finish passes every check: no good's
+    excess demand above ``tol`` times its supply, a nonempty clearing set
+    and the Walras identity. It records ``tol``; its ``residual`` is
+    max|G(p) - p| for the last stage's map and its ``iterations`` count the
+    map evaluations of the stages and of every finish. A solve whose stage
+    points all fail is repeated once without Newton jumps inside the
+    stages. Needs no scipy.
     Requires strictly positive demand entries (nonnegative demand with
-    positive row and column sums is accepted with a warning) and positive
-    aggregate supply for every good.
+    positive row and column sums is accepted with a warning), positive
+    aggregate supply for every good and a finite, positive ``tol``.
     """
     C, B = as_economy(C, B)
     if np.any(C < 0) or np.any(B < 0):
@@ -403,15 +412,9 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL,
                 "demand matrix needs positive row and column sums",
                 condition="positive_demand_sums",
             )
-    if not (tol > 0 and tol_inner > 0):
-        raise ValueError("tolerances tol and tol_inner must be positive")
-    try:
-        return _solve(C, B, psi, tol, tol_inner, True, 0)
-    except NonConvergenceError as err:
-        # A jump can land a falling price near zero while its good is in excess
-        # demand; the price then climbs back by that small fraction per step,
-        # too little for the absolute residual to see. Retry without jumps.
-        return _solve(C, B, psi, tol, tol_inner, False, err.iterations)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
+    return _solve(C, B, psi, tol)
 
 
 def _accept(C, B, psi, G_last, p, tol, iterations):
@@ -454,40 +457,43 @@ def _accept(C, B, psi, G_last, p, tol, iterations):
         y=y,
         excess=check.excess,
         iterations=iterations,
-        final_epsilon=last_epsilon,
+        tol=tol,
         residual=_residual(G_last, p),
     )
 
 
-def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
-    """Stages and checks of ``solve_fixed_point``, counting on from ``iterations``.
+def _solve(C, B, psi, tol):
+    """Stages and checks of ``solve_fixed_point``, in two passes from the uniform price.
 
     After every stage, ``_newton_finish`` on the last stage's map runs from
     the stage's last point, and the first finished point that ``_accept``
-    accepts is returned.
+    accepts is returned. The first pass makes Newton jumps, the second,
+    run only if the first ends without a solution, does not: a jump can
+    land a falling price near zero while its good is in excess demand, and
+    the price then climbs back too slowly for the absolute residual to see.
     """
-    p = np.full(C.shape[0], 1.0 / C.shape[0])
     last_epsilon = EPSILONS[-1]
     G_last = _stage_map(C, B, psi, last_epsilon)
-    for epsilon in EPSILONS:
-        if epsilon == last_epsilon:
-            G, tol_stage = G_last, tol_inner
-        else:
-            G, tol_stage = _stage_map(C, B, psi, epsilon), max(tol_inner, epsilon * 1e-2)
-        # A stage that stalls or reaches the cap hands on its last point too.
-        p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
-        iterations += used
-        p_finished, used_finish = _newton_finish(G_last, p, tol_inner)
-        iterations += used_finish
-        if p_finished is not None:
-            try:
-                return _accept(C, B, psi, G_last, p_finished, tol, iterations)
-            except NonConvergenceError as err:
-                rejected = err
+    iterations = 0
+    for extrapolate in (True, False):
+        p = np.full(C.shape[0], 1.0 / C.shape[0])
+        for epsilon in EPSILONS:
+            G = G_last if epsilon == last_epsilon else _stage_map(C, B, psi, epsilon)
+            tol_stage = DEFAULT_TOL_INNER if G is G_last else max(DEFAULT_TOL_INNER, epsilon * 1e-2)
+            # A stage that stalls or reaches the cap hands on its last point too.
+            p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
+            iterations += used
+            p_finished, used_finish = _newton_finish(G_last, p, DEFAULT_TOL_INNER)
+            iterations += used_finish
+            if p_finished is not None:
+                try:
+                    return _accept(C, B, psi, G_last, p_finished, tol, iterations)
+                except NonConvergenceError as err:
+                    rejected = err
 
     if p_finished is not None:
         raise rejected  # why the last stage's finished point was refused
-    # The last stage stopped short of tol_inner and its finish failed.
+    # The last stage stopped short of DEFAULT_TOL_INNER and its finish failed.
     residual = _residual(G_last, p)
     reason = (f"stalled after {used} map evaluations (residual not "
               f"halved in {STALL_EVALUATIONS})" if stage_exit == "stalled" else
@@ -504,16 +510,16 @@ def _solve(C, B, psi, tol, tol_inner, extrapolate, iterations):
 def evaluate_solution(C, B, p, tol=DEFAULT_TOL) -> EquilibriumSolution:
     """Package a candidate price vector as a solution object.
 
-    The price must already pass the equilibrium check. Evaluated solutions
-    carry ``iterations=0``, ``final_epsilon=0.0`` and ``residual=0.0`` to
-    mark that no fixed-point iteration produced them.
+    The price must already pass the equilibrium check at ``tol``, which the
+    solution records. Evaluated solutions carry ``iterations=0`` and
+    ``residual=0.0`` to mark that no fixed-point iteration produced them.
     """
     C, B, p = as_economy(C, B, p)
     check = is_equilibrium_unchecked(C, B, p, tol=tol)
     if not check.ok:
         raise PreconditionError(
-            f"price vector violates the equilibrium inequalities at goods "
-            f"{[k for k, _ in check.violations]}",
+            "price vector violates the equilibrium inequalities "
+            + check.worst_violation(B.sum(axis=1), tol),
             condition="is_equilibrium",
         )
     if not check.clearing_set:
@@ -526,6 +532,6 @@ def evaluate_solution(C, B, p, tol=DEFAULT_TOL) -> EquilibriumSolution:
         y=demand_weights(C, B, p),
         excess=check.excess,
         iterations=0,
-        final_epsilon=0.0,
+        tol=tol,
         residual=0.0,
     )

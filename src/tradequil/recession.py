@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import (
-    DEFAULT_TOL,
     RESIDUAL_TOL,
     ROUNDING,
     as_economy,
@@ -42,10 +41,6 @@ class RecessionReport:
     B0: np.ndarray
     p1: PriceVector
     R: float
-
-    @property
-    def I(self):
-        return self.clearing_set
 
     def to_dict(self):
         return {
@@ -195,28 +190,25 @@ def _off_price_factors(m):
     return factors
 
 
-def degeneracy_report(solution: EquilibriumSolution, C, B,
-                      tol=DEFAULT_TOL) -> RecessionReport:
+def degeneracy_report(solution: EquilibriumSolution, C, B) -> RecessionReport:
     """Assemble the full degeneracy picture for a converged solution.
 
-    Verifies the solution still passes the equilibrium check and that its
-    clearing set is the one that check finds at ``p0``, rebuilds the
-    satisfaction ratios from the clearing-supported price, and spot-checks
-    that prices off the clearing set leave the modified-supply market
-    unchanged (the degeneracy freedom that motivates the multiplicity).
-    ``C``, ``B`` and ``p0`` are checked once, here; the steps after that
-    are the cores of :func:`real_consumption`, :func:`modified_supply`,
-    :func:`generalized_price` and :func:`recession_level`.
+    Verifies the solution still passes the equilibrium check at its own
+    ``tol`` and that its clearing set is the one that check finds at
+    ``p0``, rebuilds the satisfaction ratios from the clearing-supported
+    price, and spot-checks that prices off the clearing set leave the
+    modified-supply market unchanged (the degeneracy freedom that
+    motivates the multiplicity). ``C``, ``B`` and ``p0`` are checked once,
+    here; the steps after that are the cores of :func:`real_consumption`,
+    :func:`modified_supply`, :func:`generalized_price` and
+    :func:`recession_level`.
     """
     C, B, p = as_economy(C, B, solution.p0)
-    check = is_equilibrium_unchecked(C, B, p, tol=tol)
+    check = is_equilibrium_unchecked(C, B, p, tol=solution.tol)
     if not check.ok:
-        share = check.excess / B.sum(axis=1)
-        k = max((k for k, _ in check.violations), key=lambda k: share[k])
         raise PreconditionError(
-            f"solution no longer passes the equilibrium check against C, B at "
-            f"tol={tol:g}: good {k + 1} (1-based) has the largest excess demand, "
-            f"{share[k]:.3g} of its aggregate supply",
+            "solution no longer passes the equilibrium check against C, B "
+            + check.worst_violation(B.sum(axis=1), solution.tol),
             condition="solution_is_equilibrium",
         )
     if tuple(solution.clearing_set) != check.clearing_set:

@@ -127,9 +127,10 @@ class TestSolve:
     def test_solution_schema(self, tmp_path):
         _, run_dir = self.solve_toy(tmp_path)
         payload = json.loads((run_dir / "solution.json").read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert set(payload) >= {"p0", "I", "y", "excess", "residual",
-                                "iterations", "epsilon"}
+                                "iterations", "tol"}
+        assert payload["tol"] == 1e-6 and "epsilon" not in payload
         assert min(payload["I"]) >= 1  # 1-based in serialized form
 
     def test_byte_stable_outputs(self, tmp_path):
@@ -210,7 +211,7 @@ class TestSolve:
             r"violates the equilibrium inequalities by \S+ at good 2 \(1-based\), "
             r"7\.15e-10 of its aggregate supply", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol-inner", "0")])
+    @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "inf")])
     def test_invalid_settings_are_input_errors(self, tmp_path, capsys, flag, value):
         csv_path = write_csv(tmp_path)
         out = tmp_path / "out"
@@ -306,22 +307,80 @@ class TestReport:
         assert "clearing set" in capsys.readouterr().err
         assert not (out / "re").exists()
 
-    def test_solution_of_a_looser_solve_names_the_tolerance(self, tmp_path, capsys):
-        # A solve at --tol 1e-2 accepts a point where good 2's excess demand
-        # is 0.59 % of its supply; report checks at the default 1e-6.
+    def solve_drifting(self, tmp_path, *flags):
+        """``DRIFTING`` solved by the CLI with ``flags``: (matrices, run directory)."""
         matrices = tmp_path / "matrices.json"
         matrices.write_text(json.dumps(CostMatrices.from_supply_demand(
             DRIFTING_C, DRIFTING_B).to_dict()), encoding="utf-8")
-        assert run("solve", "--input", matrices, "--out", tmp_path / "run",
-                   "--tol", "1e-2") == EXIT_OK
+        assert run("solve", "--input", matrices, "--out", tmp_path / "run", *flags) == EXIT_OK
+        return matrices, tmp_path / "run"
+
+    def test_solution_of_a_looser_solve_names_the_tolerance(self, tmp_path):
+        # A solve at --tol 1e-2 accepts a point where good 2's excess demand
+        # is 0.59 % of its supply. Its solution records that tolerance, and
+        # report checks it there and writes the same four files again.
+        matrices, solved = self.solve_drifting(tmp_path, "--tol", "1e-2")
+        assert json.loads((solved / "solution.json").read_text())["tol"] == 1e-2
+        code = run("report", "--input", solved / "solution.json",
+                   "--matrices", matrices, "--out", tmp_path / "re")
+        assert code == EXIT_OK
+        assert tree_bytes(tmp_path / "re") == tree_bytes(solved)
+        assert len(tree_bytes(solved)) == 4
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"tol": 1e-12}, "1e-12"),
+        ({"schema_version": 1, "epsilon": 5.96e-10, "tol": None}, "1e-06"),
+    ], ids=["tighter-tol", "schema-1"])
+    def test_solution_is_checked_at_the_tolerance_it_records(self, tmp_path, capsys,
+                                                            changes, named):
+        # The same solution with a tighter tol set by hand, or written in
+        # schema 1, which records none (None drops the field) and is checked
+        # at the default 1e-6.
+        matrices, solved = self.solve_drifting(tmp_path, "--tol", "1e-2")
+        payload = {**json.loads((solved / "solution.json").read_text()), **changes}
+        edited = {key: value for key, value in payload.items() if value is not None}
+        (tmp_path / "edited.json").write_text(json.dumps(edited), encoding="utf-8")
         capsys.readouterr()
-        code = run("report", "--input", tmp_path / "run" / "solution.json",
+        code = run("report", "--input", tmp_path / "edited.json",
                    "--matrices", matrices, "--out", tmp_path / "re")
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert ("at tol=1e-06: good 2 (1-based) has the largest excess demand, 0.00588 "
+        assert (f"at tol={named}: good 2 (1-based) has the largest excess demand, 0.00588 "
                 "of its aggregate supply") in err
         assert not (tmp_path / "re").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-06", "Infinity", "NaN", '"loose"'])
+    def test_solution_with_a_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):
+        matrices, solved = self.solve_drifting(tmp_path)
+        text = re.sub(r'"tol": [^,]*', f'"tol": {tol}', (solved / "solution.json").read_text())
+        (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = run("report", "--input", tmp_path / "bad.json",
+                   "--matrices", matrices, "--out", tmp_path / "re")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cannot read solution file" in err
+        assert ("could not convert string to float" if tol == '"loose"' else
+                "tol must be positive and finite") in err
+        assert not (tmp_path / "re").exists()
+
+    def test_solution_of_another_year_is_input_error(self, tmp_path, capsys):
+        # Both years trade the same good; 2019 is solved and re-rendered
+        # against the matrices of 2020.
+        csv_path = write_csv(tmp_path, TOY_CSV + "2019,a,b,g,4\n2019,b,a,g,5\n")
+        out = tmp_path / "out"
+        assert run("ingest", "--input", csv_path, "--out", out) == EXIT_OK
+        assert run("solve", "--input", out / "matrices_2019.json",
+                   "--out", out / "run") == EXIT_OK
+        capsys.readouterr()
+        code = run("report", "--input", out / "run" / "solution.json",
+                   "--matrices", out / "matrices_2020.json", "--out", out / "re")
+        assert code == EXIT_INPUT
+        assert ("solution file is for year 2019, matrices file for 2020"
+                in capsys.readouterr().err)
+        assert not (out / "re").exists()
+        assert run("report", "--input", out / "run" / "solution.json",
+                   "--matrices", out / "matrices_2019.json", "--out", out / "re") == EXIT_OK
 
 
 # Runs in a fresh interpreter: the CLI steps that need no scipy, among them a
@@ -335,7 +394,7 @@ codes = [main(["ingest", "--input", csv_path, "--out", out]),
          main(["shares", "--input", out + "/matrices_2020.json",
                "--out", out + "/shares"]),
          main(["solve", "--input", matrices, "--out", out + "/solve"])]
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 import numpy as np
 from tradequil import certify_consistency
 label = certify_consistency(np.array(json.loads(C)), np.array(json.loads(B)), I=(0, 1)).label

@@ -31,7 +31,6 @@ from tradequil.equilibrium_solver import (
     _newton_jump,
     _residual,
     _run_stage,
-    _solve,
     _stage_map,
 )
 
@@ -518,6 +517,32 @@ class TestIsEquilibrium:
         assert check.violations[0][1] == pytest.approx(1.5)
 
 
+class TestEvaluateSolution:
+    # One agent, priced on good 3 alone: demand weight 2, so goods 1 and 2
+    # are in excess demand by 1 and 5, which are 100 % and 33 % of their
+    # supplies; good 3 clears.
+    C = np.array([[1.0], [10.0], [1.0]])
+    B = np.array([[1.0], [15.0], [2.0]])
+    p = np.array([0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("tol, named", [(DEFAULT_TOL, "1e-06"), (1e-3, "0.001")])
+    def test_violation_names_the_tolerance_and_the_largest_share(self, tol, named):
+        with pytest.raises(PreconditionError) as err:
+            evaluate_solution(self.C, self.B, self.p, tol=tol)
+        assert str(err.value) == (
+            f"price vector violates the equilibrium inequalities at tol={named}: good 1 "
+            "(1-based) has the largest excess demand, 1 of its aggregate supply")
+        assert err.value.condition == "is_equilibrium"
+
+    def test_solution_records_the_tolerance(self):
+        solution = evaluate_solution(self.C, self.B, self.p, tol=5.0)
+        assert solution.tol == 5.0 and solution.clearing_set == (0, 1, 2)
+        assert (solution.iterations, solution.residual) == (0, 0.0)
+        # At an infinite tolerance every good clears, but no solution records it.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            evaluate_solution(self.C, self.B, self.p, tol=np.inf)
+
+
 @pytest.mark.parametrize("call", [
     is_equilibrium, excess_demand, check_ideal, evaluate_solution,
     lambda C, B, p: degeneracy_report(evaluate_solution(SWAP_C, SWAP_B, p), C, B),
@@ -572,8 +597,9 @@ class TestSolveFixedPoint:
             gap = abs(psi_bar @ solution.p0.p - psi @ solution.p0.p)
             assert gap <= 1e-8 * abs(psi @ solution.p0.p)
 
-    def test_fixed_point_residual_below_inner_tolerance(self):
-        solution = solve_fixed_point(SWAP_C, SWAP_B, tol_inner=1e-11)
+    def test_fixed_point_residual_below_inner_tolerance(self, monkeypatch):
+        monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-11)
+        solution = solve_fixed_point(SWAP_C, SWAP_B)
         assert solution.residual <= 1e-11
 
     def test_deterministic(self):
@@ -594,35 +620,38 @@ class TestSolveFixedPoint:
         with pytest.warns(UserWarning, match="zero entries"):
             solve_fixed_point(C, B)
 
-    def test_unreachable_tolerance_reports_nonconvergence(self):
+    def test_unreachable_tolerance_reports_nonconvergence(self, monkeypatch):
         # No point satisfies a 1e-30 fixed-point residual in floats, so the
         # solver must surface a non-convergence report, not a wrong answer.
+        monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-30)
         C = np.array([[1.0], [1.0]])
         B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError) as err:
-            solve_fixed_point(C, B, tol_inner=1e-30)
+            solve_fixed_point(C, B)
         assert err.value.residual is not None
         assert err.value.epsilon is not None
 
-    def test_stall_exit_is_reported_as_a_stall(self):
+    def test_stall_exit_is_reported_as_a_stall(self, monkeypatch):
         # The 1e-30 residual is out of reach, so the residual stops
         # halving and the stage leaves through its stall exit long before
         # the evaluation cap; the error must say so, not blame the cap.
+        monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-30)
         C = np.array([[1.0], [1.0]])
         B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError,
                            match=r"stalled after \d+ map evaluations") as err:
-            solve_fixed_point(C, B, tol_inner=1e-30)
+            solve_fixed_point(C, B)
         assert "cap" not in str(err.value)
         assert err.value.iterations < MAX_INNER_ITERATIONS
 
     def test_cap_exit_is_reported_as_the_cap(self, monkeypatch):
         monkeypatch.setattr(equilibrium_solver, "MAX_INNER_ITERATIONS", 50)
+        monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-30)
         C = np.array([[1.0], [1.0]])
         B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError,
                            match=r"hit the 50-evaluation cap after \d+ map evaluations"):
-            solve_fixed_point(C, B, tol_inner=1e-30)
+            solve_fixed_point(C, B)
 
     def test_first_stage_point_is_finished_by_newton_steps(self, monkeypatch):
         # The run with jumps solves FADING in 113 map evaluations: the first
@@ -638,15 +667,15 @@ class TestSolveFixedPoint:
             return q, used
 
         monkeypatch.setattr(equilibrium_solver, "_newton_finish", recorded)
-        psi = FADING_B.sum(axis=1)
-        solution = _solve(FADING_C, FADING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
+        path = self.record_path(monkeypatch)
+        solution = solve_fixed_point(FADING_C, FADING_B)
+        assert path == [(True, "converged"), True]
         assert solution.clearing_set == (0, 1)
         assert solution.residual <= DEFAULT_TOL_INNER
         assert solution.iterations <= 160
         [(start, finished, used)] = finishes
         assert start > 100 * DEFAULT_TOL_INNER and finished
         assert used <= FINISH_STEPS + 1
-        assert solve_fixed_point(FADING_C, FADING_B).iterations == solution.iterations
 
     def test_newton_finish_stops_after_finish_steps(self):
         # Steps that never meet the tolerance (no residual is below -1) end
@@ -800,6 +829,22 @@ class TestSolveFixedPoint:
         monkeypatch.setattr(equilibrium_solver, "_newton_finish", finish)
         return path
 
+    @staticmethod
+    def record_rejections(monkeypatch):
+        """Record the message of every finished point that ``_accept`` refuses."""
+        rejected = []
+        accept = equilibrium_solver._accept
+
+        def recorded(*args):
+            try:
+                return accept(*args)
+            except NonConvergenceError as err:
+                rejected.append(str(err))
+                raise
+
+        monkeypatch.setattr(equilibrium_solver, "_accept", recorded)
+        return rejected
+
     def test_slowly_turning_orbit_finishes_by_jumps(self, monkeypatch):
         # Without jumps the orbit turns slowly near each stage's fixed point.
         # Newton jumps end the first stage in 100 map evaluations, and the
@@ -835,11 +880,14 @@ class TestSolveFixedPoint:
         # of the first five violate the inequalities at good 1; the sixth's
         # is the equilibrium.
         path = self.record_path(monkeypatch)
-        psi = STALLING_B.sum(axis=1)
-        solution = _solve(STALLING_C, STALLING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
+        rejected = self.record_rejections(monkeypatch)
+        solution = solve_fixed_point(STALLING_C, STALLING_B)
         assert solution.clearing_set == (0, 1, 2, 3, 4, 5)
         assert solution.iterations <= 2500
         assert path == [(True, "converged"), True] * 6
+        assert len(rejected) == 5
+        assert all("violates the equilibrium inequalities" in message
+                   and "at good 1 " in message for message in rejected)
 
     def test_failed_solve_is_repeated_without_jumps(self, monkeypatch):
         # The run with jumps converges in every stage, and every stage's
@@ -848,15 +896,14 @@ class TestSolveFixedPoint:
         # third stage, whose finished point is the equilibrium (5,998 map
         # evaluations in all).
         path = self.record_path(monkeypatch)
-        psi = SINKING_B.sum(axis=1)
-        with pytest.raises(NonConvergenceError, match="at good 12 "):
-            _solve(SINKING_C, SINKING_B, psi, DEFAULT_TOL, DEFAULT_TOL_INNER, True, 0)
-        assert path == [(True, "converged"), True] * 13
-        path.clear()
+        rejected = self.record_rejections(monkeypatch)
         solution = solve_fixed_point(SINKING_C, SINKING_B)
         assert solution.clearing_set == (2, 4, 5, 6, 7, 8, 10, 11, 12, 13)
         assert solution.iterations <= 7500
-        assert path[26:] == [(False, "converged"), True] * 3
+        assert path == [(True, "converged"), True] * 13 + [(False, "converged"), True] * 3
+        assert len(rejected) == 15
+        assert "violates the equilibrium inequalities" in rejected[12]
+        assert "at good 12 " in rejected[12]
 
     @pytest.mark.parametrize("failing, reason", [
         ("inequalities", "violates the equilibrium inequalities"),
@@ -870,8 +917,8 @@ class TestSolveFixedPoint:
         # The solve must refuse it and stop at a later stage at a verified
         # point with the same clearing set.
         newton_finish = equilibrium_solver._newton_finish
-        weights, accept = equilibrium_solver.demand_weights, equilibrium_solver._accept
-        finished, rejected = [], []
+        weights = equilibrium_solver.demand_weights
+        finished = []
 
         def finish(G, p, tol):
             q, used = newton_finish(G, p, tol)
@@ -885,16 +932,9 @@ class TestSolveFixedPoint:
             bad = failing == "walras" and finished and np.array_equal(p, finished[0])
             return y * (1 + 1e-7) if bad else y
 
-        def recorded(*args):
-            try:
-                return accept(*args)
-            except NonConvergenceError as err:
-                rejected.append(str(err))
-                raise
-
         monkeypatch.setattr(equilibrium_solver, "_newton_finish", finish)
         monkeypatch.setattr(equilibrium_solver, "demand_weights", doctored)
-        monkeypatch.setattr(equilibrium_solver, "_accept", recorded)
+        rejected = self.record_rejections(monkeypatch)
         solution = solve_fixed_point(TURNING_C, TURNING_B)
         assert len(rejected) == 1 and reason in rejected[0]
         assert len(finished) >= 2
@@ -910,7 +950,7 @@ class TestSolveFixedPoint:
                     for _ in range(10))
         assert total <= 450
 
-    @pytest.mark.parametrize("name", ["tol", "tol_inner"])
+    @pytest.mark.parametrize("name", ["tol"])
     def test_nonpositive_tolerance_rejected(self, name):
         with pytest.raises(ValueError, match="must be positive"):
             solve_fixed_point(SWAP_C, SWAP_B, **{name: 0.0})
@@ -924,13 +964,27 @@ class TestSolveFixedPoint:
             payload = solve_fixed_point(C, B).to_dict()
             assert EquilibriumSolution.from_dict(payload).to_dict() == payload
 
+    def test_from_dict_reads_the_tolerance(self):
+        payload = solve_fixed_point(SWAP_C, SWAP_B, tol=1e-3).to_dict()
+        assert EquilibriumSolution.from_dict(payload).tol == 1e-3
+        # Schema 1 recorded the last stage's weight, not the tolerance.
+        old = {**payload, "schema_version": 1, "epsilon": 5.96e-10}
+        del old["tol"]
+        assert EquilibriumSolution.from_dict(old).tol == DEFAULT_TOL
+        with pytest.raises(KeyError):
+            EquilibriumSolution.from_dict({k: v for k, v in payload.items() if k != "tol"})
+        for tol in (0.0, -1e-6, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                EquilibriumSolution.from_dict({**payload, "tol": tol})
+
     def test_json_round_trip_uses_one_based_clearing_set(self):
         solution = solve_fixed_point(SWAP_C, SWAP_B)
         payload = solution.to_dict()
         assert payload["I"] == [1, 2]
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert set(payload) >= {"p0", "I", "y", "excess", "residual",
-                                "iterations", "epsilon"}
+                                "iterations", "tol"}
+        assert payload["tol"] == DEFAULT_TOL
 
 
 class TestCheckIdeal:

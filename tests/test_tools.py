@@ -114,6 +114,33 @@ class TestDirectSolves:
         assert (f"LP calls changed: structure seed 502 panel 0/2019: "
                 f"{counts[3]} → {counts[3] + 2}") in report
 
+    def test_recession_levels_are_recorded_and_listed_but_do_not_gate(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        run("structure", 502, "--panels", 1, "--out", out)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert all(isinstance(r["R"], float) and 0.0 <= r["R"] <= 1.0 for r in records)
+        report = run("--compare", out, out).stdout
+        assert "max|ΔR|" in report.splitlines()[2]
+        assert "R moved by more than 1e-09: 0" in report
+        # A change below 1e-9 shows only in the seed's max|ΔR|; larger ones,
+        # and a report that now raises, are listed, and neither gates.
+        before = [r["R"] for r in records]
+        records[0]["R"] += 5e-10
+        records[1]["R"] += 1e-6
+        records[2]["R"] = "PreconditionError"
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = run("--compare", out, moved).stdout
+        [row] = [line for line in report.splitlines() if line.startswith("structure    502")]
+        assert row.endswith(f"{abs(records[1]['R'] - before[1]):>9.2e}")
+        assert "R moved by more than 1e-09: 2" in report
+        assert (f"R moved: structure seed 502 panel 0/2017: {before[1]!r} → "
+                f"{records[1]['R']!r}") in report
+        assert (f"R moved: structure seed 502 panel 0/2018: {before[2]!r} → "
+                "'PreconditionError'") in report
+        assert "2016" not in "".join(line for line in report.splitlines()
+                                     if line.startswith("R moved:"))
+
     def test_failures_are_counted_by_class(self, tmp_path):
         messages = [
             "converged point violates the equilibrium inequalities by 1.0e+08 at good 3",

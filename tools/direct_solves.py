@@ -10,7 +10,10 @@ does (``read_flows_csv``, ``build_cost_matrices``, a JSON round trip of the
 cost matrices, ``CostMatrices.from_dict``), solves it with BLAS on one thread
 and writes one JSON record per solve to ``FILE``: kind, seed, panel, year,
 ok, message, ``iterations`` (map evaluations, also of a failed solve), the
-0-based clearing set ``I``, ``p0``, the warnings raised and the wall seconds.
+0-based clearing set ``I``, ``p0``, the warnings raised, the wall seconds and
+the recession level ``R`` of ``degeneracy_report(solution, C, B)`` (None for
+a failed solve, the class of the error if the report raises one; its time
+and warnings are not counted).
 ``--src`` imports ``tradequil`` from another checkout's ``src`` directory, so
 two versions of the solver can be run on the same inputs. On ``structure``
 panels every successful solve is followed by the benchmark's four structure
@@ -26,15 +29,16 @@ by rebinding ``linprog`` in ``tradequil.cone_geometry`` and
 The second form reads two such files and prints, per workload and seed,
 solves, failures, new and rescued failures, map evaluations in all and
 per solve at the median, the solves' median seconds, the years where ``I``
-changed and ``|Δp0|`` where both solved, each side's failures by class
+changed, ``|Δp0|`` and ``|ΔR|`` where both solved, every year whose ``R``
+moved by more than ``R_MOVED``, each side's failures by class
 (``FAILURE_CLASSES``, read from the message) and every structure verdict
 and every ``ideal_reason`` that differs where both files have one, then the
 LP totals of each seed and every year whose ``lp_calls`` differ. It exits
 with status 1 when B fails a solve that A solved or changes a structure
-verdict, and 0 otherwise, so it can gate a change on its own. A changed
-reason or LP count alone does not gate: the wording of a reason may change
-while ``exists`` does not, and a change may solve more or fewer LPs on
-purpose.
+verdict, and 0 otherwise, so it can gate a change on its own. A moved
+``R``, a changed reason or LP count alone does not gate: the wording of a
+reason may change while ``exists`` does not, and a change may solve more or
+fewer LPs on purpose.
 """
 
 import os
@@ -67,6 +71,11 @@ FAILURE_CLASSES = (("violation", "violates the equilibrium inequalities"),
                    ("stall", "stalled after"),
                    ("cap", "-evaluation cap"),
                    ("no good clears", "no good clears"))
+
+
+# ``R`` moves in ``--compare`` when it changes by more than this, or from a
+# number to an error class or back.
+R_MOVED = 1e-9
 
 
 def failure_class(message):
@@ -123,7 +132,7 @@ def solve_records(kind, seeds, panels, src):
     sys.path.insert(0, str(src))
     import tradequil
     from tradequil import (CostMatrices, NonConvergenceError, build_cost_matrices,
-                           read_flows_csv, solve_fixed_point)
+                           degeneracy_report, read_flows_csv, solve_fixed_point)
 
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
@@ -133,7 +142,8 @@ def solve_records(kind, seeds, panels, src):
                     cm = CostMatrices.from_dict(payload)
                     record = {"kind": kind, "seed": seed, "panel": panel, "year": year,
                               "ok": False, "message": "", "iterations": None,
-                              "I": None, "p0": None}
+                              "I": None, "p0": None, "R": None}
+                    solution = None
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         start = time.perf_counter()
@@ -149,6 +159,11 @@ def solve_records(kind, seeds, panels, src):
                                           p0=solution.p0.p.tolist())
                         record["seconds"] = time.perf_counter() - start
                     record["warnings"] = dict(Counter(w.category.__name__ for w in caught))
+                    if solution is not None:
+                        try:
+                            record["R"] = degeneracy_report(solution, cm.C, cm.B).R
+                        except Exception as exc:  # the error class is the record
+                            record["R"] = type(exc).__name__
                     if kind == "structure" and record["ok"]:
                         (record["ops"], record["ideal_reason"]), record["lp_calls"] = count_lps(
                             lambda: structure_verdicts(tradequil, cm.C, cm.B, tuple(record["I"])))
@@ -172,13 +187,14 @@ def compare(path_a, path_b):
     total = Counter()
     changed = []
     deltas = []
+    r_moved = []
     print(f"A = {path_a}\nB = {path_b}")
     print(f"{'kind':10} {'seed':>5} {'solves':>6} {'fail A→B':>9} {'new':>4} "
           f"{'resc':>4} {'evals A→B':>21} {'p50 ev A→B':>13} {'p50 ms A→B':>13} "
-          f"{'warn':>5} {'I chg':>5} {'max|Δp0|':>9}")
+          f"{'warn':>5} {'I chg':>5} {'max|Δp0|':>9} {'max|ΔR|':>9}")
     for (kind, seed), group in sorted(by_seed.items()):
         row = Counter(solves=len(group))
-        seed_deltas = []
+        seed_deltas, r_deltas = [], []
         for key in group:
             ra, rb = a[key], b[key]
             row["fail_a"] += not ra["ok"]
@@ -193,6 +209,13 @@ def compare(path_a, path_b):
                 if ra["I"] != rb["I"]:
                     row["I_changed"] += 1
                     changed.append((key, ra["I"], rb["I"], seed_deltas[-1]))
+                r_a, r_b = ra.get("R"), rb.get("R")
+                if isinstance(r_a, float) and isinstance(r_b, float):
+                    r_deltas.append(abs(r_a - r_b))
+                    if r_deltas[-1] > R_MOVED:
+                        r_moved.append((key, r_a, r_b))
+                elif r_a != r_b and None not in (r_a, r_b):
+                    r_moved.append((key, r_a, r_b))
         evals_a = statistics.median(a[key]["iterations"] or 0 for key in group)
         evals_b = statistics.median(b[key]["iterations"] or 0 for key in group)
         p50_a = statistics.median(a[key]["seconds"] for key in group) * 1e3
@@ -202,7 +225,7 @@ def compare(path_a, path_b):
               f"{row['evals_a']:>10,}→{row['evals_b']:<10,} {evals_a:>6.0f}→{evals_b:<6.0f} "
               f"{p50_a:>6.1f}→{p50_b:<6.1f} "
               f"{row['warnings']:>5} {row['I_changed']:>5} "
-              f"{max(seed_deltas, default=0.0):>9.2e}")
+              f"{max(seed_deltas, default=0.0):>9.2e} {max(r_deltas, default=0.0):>9.2e}")
         total.update(row)
         deltas += seed_deltas
     print(f"{'all':10} {'':>5} {total['solves']:>6} {total['fail_a']:>4}→{total['fail_b']:<4} "
@@ -219,6 +242,9 @@ def compare(path_a, path_b):
     for (kind, seed, panel, year), ia, ib, delta in changed:
         print(f"I changed: {kind} seed {seed} panel {panel}/{year}: {ia} → {ib} "
               f"(|Δp0| {delta:.2e})")
+    print(f"R moved by more than {R_MOVED:g}: {len(r_moved)}")
+    for (kind, seed, panel, year), r_a, r_b in r_moved:
+        print(f"R moved: {kind} seed {seed} panel {panel}/{year}: {r_a!r} → {r_b!r}")
     verdicts = [(key, name, a[key]["ops"][name], b[key]["ops"][name])
                 for key in keys if "ops" in a[key] and "ops" in b[key]
                 for name in sorted(a[key]["ops"])]
