@@ -6,13 +6,13 @@ The economy clears at prices ``p`` when, for every good ``k``,
 
 with ``psi`` the aggregate supply. The solver iterates the regularized map
 ``p <- G_eps(p)`` on the price simplex for a decreasing sequence of
-regularization weights, warm-starting each stage from the previous one.
-In currency units the regularization hardly acts and the iteration
-converges at a rate near 1, so every 16 steps a stage tries a Newton jump
-from the map's exact Jacobian (C. T. Kelley, *Solving Nonlinear Equations
-with Newton's Method*, SIAM 2003, ch. 1-2). Prices outside the clearing set
-fall toward zero, and a full Newton step would often make them negative;
-the jump is cut back to stay inside the simplex instead, as an
+regularization weights relative to the data's largest entry, warm-starting
+each stage from the previous one. The regularization hardly acts and the
+iteration converges at a rate near 1, so every 16 steps a stage tries a
+Newton jump from the map's exact Jacobian (C. T. Kelley, *Solving Nonlinear
+Equations with Newton's Method*, SIAM 2003, ch. 1-2). Prices outside the
+clearing set fall toward zero, and a full Newton step would often make them
+negative; the jump is cut back to stay inside the simplex instead, as an
 interior-point method keeps its iterates interior. After every stage the
 same Newton step, taken unguarded on the last stage's map, finishes the
 stage's point, and the solve returns the first stage point whose Newton
@@ -35,6 +35,7 @@ from ._numerics import (
     ROUNDING,
     as_economy,
     as_vector,
+    magnitude,
 )
 from .errors import (
     DivisionGuardError,
@@ -42,8 +43,11 @@ from .errors import (
     PreconditionError,
 )
 
-# Regularization weights of the stages, 1e-2 * 4**-m, strictly decreasing.
+# The stages' regularization schedule, 1e-2 * 4**-m, strictly decreasing.
 EPSILONS = tuple(1e-2 * 4.0 ** (-m) for m in range(13))
+# Data magnitude at which a stage's weight is its epsilon. Of 2**38 to 2**41, this
+# solved the most g20 panels (magnitudes 2**38.7 to 2**42.1) in fewest evaluations.
+REFERENCE_MAGNITUDE = 2.0 ** 39
 MAX_INNER_ITERATIONS = 200_000
 STALL_EVALUATIONS = 2000
 # A Newton jump moves each falling price at most this fraction of the way to
@@ -118,12 +122,15 @@ class EquilibriumCheck:
     def __bool__(self):
         return self.ok
 
+    def worst_good(self, psi):
+        """The violating good whose excess is the largest share of its supply."""
+        return max((k for k, _ in self.violations), key=lambda k: self.excess[k] / psi[k])
+
     def worst_violation(self, psi, tol):
-        """``tol`` and the violating good whose excess is the largest share of its supply."""
-        share = self.excess / psi
-        k = max((k for k, _ in self.violations), key=lambda k: share[k])
+        """``tol`` and ``worst_good``, with its excess as a share of its supply."""
+        k = self.worst_good(psi)
         return (f"at tol={tol:g}: good {k + 1} (1-based) has the largest excess "
-                f"demand, {share[k]:.3g} of its aggregate supply")
+                f"demand, {self.excess[k] / psi[k]:.3g} of its aggregate supply")
 
 
 @dataclass(frozen=True)
@@ -226,43 +233,41 @@ def is_equilibrium_unchecked(C, B, p, tol=DEFAULT_TOL) -> EquilibriumCheck:
     )
 
 
-def _stage_map(C, B, psi, epsilon):
-    """The regularized map G_eps of one stage, on the simplex:
+def _stage_map(C, B, psi, weight):
+    """The regularized map G of one stage, on the simplex:
 
-        w_i = <b_i, p> / (<C_i, p> + n*eps),
-        G(p) ~ (p * (C @ w) + eps * sum(w)) / psi,  normalized to sum 1.
+        w_i = <b_i, p> / <C_i, p>,
+        G(p) ~ (p * (C @ w) + weight * sum(w)) / psi,  normalized to sum 1.
 
     The returned map carries its exact derivative as ``jacobian(p)``: with
     ``f`` the unnormalized map and ``u = C @ w``,
 
-        dw = (B.T - w * C.T) / (<C_i, p> + n*eps)          (rows i),
-        df = (diag(u) + p * (C @ dw) + eps * 1 sum(dw)) / psi  (rows k),
+        dw = (B.T - w * C.T) / <C_i, p>                          (rows i),
+        df = (diag(u) + p * (C @ dw) + weight * 1 sum(dw)) / psi  (rows k),
         J  = (df - (f / sum f) sum(df)) / sum f,
 
-    sums taken over rows. The bound products and ``n*eps`` are made once per
-    stage; the solver spends most of its time here, so the loop calls
-    ``dot`` and the reductions directly.
+    sums taken over rows. The solver spends most of its time here, so the
+    loop calls bound ``dot`` methods and the reductions directly.
     """
     CT, BT = C.T, B.T
     Cdot, CTdot, BTdot = C.dot, CT.dot, BT.dot
-    shift = C.shape[0] * epsilon
     add = np.add.reduce
     diagonal = np.diag_indices(C.shape[0])
 
     def stage_map(p):
-        w = BTdot(p) / (CTdot(p) + shift)
-        f = (p * Cdot(w) + epsilon * add(w, 0)) / psi
+        w = BTdot(p) / CTdot(p)
+        f = (p * Cdot(w) + weight * add(w, 0)) / psi
         return f / add(f, 0)
 
     def jacobian(p):
-        cost = CTdot(p) + shift
+        cost = CTdot(p)
         w = BTdot(p) / cost
         dw = (BT - w[:, None] * CT) / cost[:, None]
         u = Cdot(w)
-        f = (p * u + epsilon * add(w, 0)) / psi
+        f = (p * u + weight * add(w, 0)) / psi
         df = p[:, None] * Cdot(dw)
         df[diagonal] += u
-        df += epsilon * add(dw, 0)
+        df += weight * add(dw, 0)
         df /= psi[:, None]
         total = add(f, 0)
         return (df - (f / total)[:, None] * add(df, 0)) / total
@@ -384,7 +389,7 @@ def solve_fixed_point(C, B, tol=DEFAULT_TOL) -> EquilibriumSolution:
     max|G(p) - p| for the last stage's map and its ``iterations`` count the
     map evaluations of the stages and of every finish. A solve whose stage
     points all fail is repeated once without Newton jumps inside the
-    stages. Needs no scipy.
+    stages. Scaling ``C`` and ``B`` scales only ``excess``. Needs no scipy.
     Requires strictly positive demand entries (nonnegative demand with
     positive row and column sums is accepted with a warning), positive
     aggregate supply for every good and a finite, positive ``tol``.
@@ -424,23 +429,19 @@ def _accept(C, B, psi, G_last, p, tol, iterations):
     the clearing set is nonempty and the Walras identity
     ``<C y, p> = <psi, p>`` holds to ``RESIDUAL_TOL``.
     """
-    last_epsilon = EPSILONS[-1]
     check = is_equilibrium_unchecked(C, B, p, tol=tol)
     if not check.ok:
-        k, worst = max(check.violations, key=lambda violation: violation[1])
         raise NonConvergenceError(
-            f"converged point violates the equilibrium inequalities by {worst:.3e} "
-            f"at good {k + 1} (1-based), {worst / psi[k]:.3g} of its aggregate supply",
-            residual=worst,
+            "converged point violates the equilibrium inequalities "
+            + check.worst_violation(psi, tol),
+            residual=float(check.excess[check.worst_good(psi)]),
             iterations=iterations,
-            epsilon=last_epsilon,
         )
     if not check.clearing_set:
         raise NonConvergenceError(
             "no good clears at the converged point; tighten tolerances",
             residual=_residual(G_last, p),
             iterations=iterations,
-            epsilon=last_epsilon,
         )
     y = demand_weights(C, B, p)
     walras_gap = abs(float((C @ y) @ p - psi @ p))
@@ -449,7 +450,6 @@ def _accept(C, B, psi, G_last, p, tol, iterations):
             f"aggregate cost identity violated by {walras_gap:.3e}",
             residual=walras_gap,
             iterations=iterations,
-            epsilon=last_epsilon,
         )
     return EquilibriumSolution(
         p0=PriceVector.as_simplex(p),
@@ -472,13 +472,13 @@ def _solve(C, B, psi, tol):
     land a falling price near zero while its good is in excess demand, and
     the price then climbs back too slowly for the absolute residual to see.
     """
-    last_epsilon = EPSILONS[-1]
-    G_last = _stage_map(C, B, psi, last_epsilon)
+    unit = magnitude(C, B) / REFERENCE_MAGNITUDE
+    G_last = _stage_map(C, B, psi, EPSILONS[-1] * unit)
     iterations = 0
     for extrapolate in (True, False):
         p = np.full(C.shape[0], 1.0 / C.shape[0])
         for epsilon in EPSILONS:
-            G = G_last if epsilon == last_epsilon else _stage_map(C, B, psi, epsilon)
+            G = G_last if epsilon == EPSILONS[-1] else _stage_map(C, B, psi, epsilon * unit)
             tol_stage = DEFAULT_TOL_INNER if G is G_last else max(DEFAULT_TOL_INNER, epsilon * 1e-2)
             # A stage that stalls or reaches the cap hands on its last point too.
             p, used, stage_exit = _run_stage(G, p, tol_stage, MAX_INNER_ITERATIONS, extrapolate)
@@ -500,10 +500,9 @@ def _solve(C, B, psi, tol):
               f"hit the {MAX_INNER_ITERATIONS}-evaluation cap after {used} "
               "map evaluations")
     raise NonConvergenceError(
-        f"stage epsilon={last_epsilon:.3e} {reason}; residual {residual:.3e}",
+        f"the last stage {reason}; residual {residual:.3e}",
         residual=residual,
         iterations=iterations,
-        epsilon=last_epsilon,
     )
 
 

@@ -98,13 +98,13 @@ class NonConvergenceError(RuntimeError):
     The price solver raises it when its last stage hit its iteration cap
     or stalled and the Newton steps that follow did not finish it, when its
     point violates the equilibrium inequalities, when no good clears there,
-    or when the aggregate cost identity fails. The structure tools raise it
-    when a linear program fails or its answer, a factor or an eigen-system
-    misses its residual check.
+    or when the aggregate cost identity fails, with an excess or gap in
+    ``residual`` in the unit of the data. The structure tools raise it when
+    a linear program fails or its answer, a factor or an eigen-system misses
+    its residual check.
     """
 
-    def __init__(self, message, residual=None, iterations=None, epsilon=None):
+    def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-        self.epsilon = epsilon

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import tradequil
-from test_equilibrium import DRIFTING_B, DRIFTING_C, FADING_B, FADING_C
+from test_equilibrium import (
+    DRIFTING_B,
+    DRIFTING_C,
+    FADING_B,
+    FADING_C,
+    TURNING_B,
+    TURNING_C,
+)
 from tradequil import CostMatrices
 from tradequil.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
 
@@ -186,30 +193,18 @@ class TestSolve:
         assert rec["R"] == pytest.approx(0.5, abs=1e-9)
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        payload = {
-            "schema_version": 1,
-            "countries": ["solo"],
-            "goods": ["g", "h"],
-            "C": [[1.0], [1.0]],
-            "B": [[2.0], [1.0]],
-            "psi": [2.0, 1.0],
-            "incomes": [3.0],
-            "balances": [1.0],
-        }
-        (out / "m.json").write_text(json.dumps(payload))
-        with pytest.warns(UserWarning):
-            code = run(
-                "solve", "--input", out / "m.json", "--out", out / "run",
-                "--tol", "1e-10",
-            )
+        # At a fixed-point residual of 1e-10, no finished stage point of
+        # TURNING meets a 1e-12 tolerance. The last one leaves good 2 with an
+        # excess demand of 6.25e-10 of its supply.
+        matrices = tmp_path / "turning.json"
+        matrices.write_text(json.dumps(CostMatrices.from_supply_demand(
+            TURNING_C, TURNING_B).to_dict()), encoding="utf-8")
+        code = run("solve", "--input", matrices, "--out", tmp_path / "run",
+                   "--tol", "1e-12")
         assert code == EXIT_NO_CONVERGENCE
-        # The last stage leaves good 2 (supply 1) short by 7.15e-10, more
-        # than the 1e-10 of its supply that the tolerance allows.
-        assert re.search(
-            r"violates the equilibrium inequalities by \S+ at good 2 \(1-based\), "
-            r"7\.15e-10 of its aggregate supply", capsys.readouterr().err)
+        assert ("violates the equilibrium inequalities at tol=1e-12: good 2 (1-based) "
+                "has the largest excess demand, 6.25e-10 of its aggregate supply"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "inf")])
     def test_invalid_settings_are_input_errors(self, tmp_path, capsys, flag, value):

@@ -624,34 +624,39 @@ class TestSolveFixedPoint:
         # No point satisfies a 1e-30 fixed-point residual in floats, so the
         # solver must surface a non-convergence report, not a wrong answer.
         monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-30)
-        C = np.array([[1.0], [1.0]])
-        B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError) as err:
-            solve_fixed_point(C, B)
-        assert err.value.residual is not None
-        assert err.value.epsilon is not None
+            solve_fixed_point(FADING_C, FADING_B)
+        assert err.value.residual > 1e-30
+        assert err.value.iterations > 0
 
     def test_stall_exit_is_reported_as_a_stall(self, monkeypatch):
         # The 1e-30 residual is out of reach, so the residual stops
-        # halving and the stage leaves through its stall exit long before
-        # the evaluation cap; the error must say so, not blame the cap.
+        # halving and the last stage leaves through its stall exit, after
+        # 2,002 map evaluations, long before the evaluation cap; the error
+        # must say so, not blame the cap.
         monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-30)
-        C = np.array([[1.0], [1.0]])
-        B = np.array([[2.0], [1.0]])
         with pytest.raises(NonConvergenceError,
-                           match=r"stalled after \d+ map evaluations") as err:
-            solve_fixed_point(C, B)
+                           match=r"^the last stage stalled after \d+ map evaluations") as err:
+            solve_fixed_point(FADING_C, FADING_B)
         assert "cap" not in str(err.value)
         assert err.value.iterations < MAX_INNER_ITERATIONS
 
     def test_cap_exit_is_reported_as_the_cap(self, monkeypatch):
         monkeypatch.setattr(equilibrium_solver, "MAX_INNER_ITERATIONS", 50)
         monkeypatch.setattr(equilibrium_solver, "DEFAULT_TOL_INNER", 1e-30)
-        C = np.array([[1.0], [1.0]])
-        B = np.array([[2.0], [1.0]])
+        with pytest.raises(NonConvergenceError, match=r"^the last stage hit the "
+                           r"50-evaluation cap after 50 map evaluations"):
+            solve_fixed_point(FADING_C, FADING_B)
+
+    def test_violation_residual_is_the_named_goods_excess(self):
+        # The last finished point that a solve of TURNING at tol=1e-12
+        # refuses leaves good 2 with the largest excess demand as a share of
+        # its supply, while good 1 has the largest in dollars. The residual
+        # is good 2's excess, in dollars.
         with pytest.raises(NonConvergenceError,
-                           match=r"hit the 50-evaluation cap after \d+ map evaluations"):
-            solve_fixed_point(C, B)
+                           match=r"at tol=1e-12: good 2 \(1-based\) has the largest") as err:
+            solve_fixed_point(TURNING_C, TURNING_B, tol=1e-12)
+        assert err.value.residual / TURNING_B[1].sum() == pytest.approx(6.25e-10, rel=1e-3)
 
     def test_first_stage_point_is_finished_by_newton_steps(self, monkeypatch):
         # The run with jumps solves FADING in 113 map evaluations: the first
@@ -687,23 +692,23 @@ class TestSolveFixedPoint:
         p = np.array([0.4, 0.6])
         assert equilibrium_solver._newton_finish(G, p, -1.0) == (None, FINISH_STEPS + 1)
 
-    @pytest.mark.parametrize("epsilon", [1e-2, 1e-5, 0.0])
-    def test_stage_map_is_the_written_out_map(self, rng, epsilon):
+    @pytest.mark.parametrize("weight", [1e-2, 1e-5, 0.0])
+    def test_stage_map_is_the_written_out_map(self, rng, weight):
         # Bit for bit: the solver's products are the ones written out.
         C = rng.uniform(1e6, 1e9, (5, 7))
         B = rng.uniform(1e6, 1e9, (5, 7))
         psi = B.sum(axis=1)
         p = rng.dirichlet(np.ones(5))
-        w = (B.T @ p) / (C.T @ p + 5 * epsilon)
-        f = (p * (C @ w) + epsilon * w.sum()) / psi
-        np.testing.assert_array_equal(_stage_map(C, B, psi, epsilon)(p), f / f.sum())
+        w = (B.T @ p) / (C.T @ p)
+        f = (p * (C @ w) + weight * w.sum()) / psi
+        np.testing.assert_array_equal(_stage_map(C, B, psi, weight)(p), f / f.sum())
 
     @pytest.mark.parametrize("scale", [1.0, 1e9], ids=["unit", "dollars"])
-    @pytest.mark.parametrize("epsilon", [1e-2, 1e-6, 0.0])
-    def test_stage_jacobian_matches_central_differences(self, rng, epsilon, scale):
+    @pytest.mark.parametrize("weight", [1e-2, 1e-6, 0.0])
+    def test_stage_jacobian_matches_central_differences(self, rng, weight, scale):
         C = rng.uniform(0.1, 1.0, (5, 7)) * scale
         B = rng.uniform(0.1, 1.0, (5, 7)) * scale
-        G = _stage_map(C, B, B.sum(axis=1), epsilon)
+        G = _stage_map(C, B, B.sum(axis=1), weight)
         p = rng.dirichlet(np.ones(5))
         h = 1e-6
         numeric = np.column_stack([(G(p + h * e) - G(p - h * e)) / (2 * h)
@@ -887,13 +892,14 @@ class TestSolveFixedPoint:
         assert path == [(True, "converged"), True] * 6
         assert len(rejected) == 5
         assert all("violates the equilibrium inequalities" in message
-                   and "at good 1 " in message for message in rejected)
+                   and ": good 1 (1-based) has the largest" in message
+                   for message in rejected)
 
     def test_failed_solve_is_repeated_without_jumps(self, monkeypatch):
         # The run with jumps converges in every stage, and every stage's
         # point finishes, but each finished point violates the inequalities;
         # the last one at good 12. The retry without jumps stops after its
-        # third stage, whose finished point is the equilibrium (5,998 map
+        # third stage, whose finished point is the equilibrium (6,042 map
         # evaluations in all).
         path = self.record_path(monkeypatch)
         rejected = self.record_rejections(monkeypatch)
@@ -903,7 +909,7 @@ class TestSolveFixedPoint:
         assert path == [(True, "converged"), True] * 13 + [(False, "converged"), True] * 3
         assert len(rejected) == 15
         assert "violates the equilibrium inequalities" in rejected[12]
-        assert "at good 12 " in rejected[12]
+        assert ": good 12 (1-based) has the largest excess demand" in rejected[12]
 
     @pytest.mark.parametrize("failing, reason", [
         ("inequalities", "violates the equilibrium inequalities"),
@@ -945,7 +951,7 @@ class TestSolveFixedPoint:
         assert check.ok and check.clearing_set == (0, 1, 2, 4, 5)
 
     def test_map_evaluation_count(self, rng):
-        # Ten fixed random economies take 344 map evaluations in all.
+        # Ten fixed random economies take 300 map evaluations in all.
         total = sum(solve_fixed_point(*random_economy(rng)).iterations
                     for _ in range(10))
         assert total <= 450

@@ -16,7 +16,6 @@ from tradequil import (
     certify_consistency,
     construct_ideal_supply,
     degeneracy_report,
-    evaluate_solution,
     is_equilibrium,
     price_from_D,
     solve_fixed_point,
@@ -68,9 +67,35 @@ class TestUnitInvariance:
 
     def test_degeneracy_report_keeps_clearing_set_and_recession(self, s):
         C, B = s * BOUNDARY_C, s * BOUNDARY_B
-        report = degeneracy_report(evaluate_solution(C, B, np.array([0.0, 1.0])), C, B)
+        report = degeneracy_report(solve_fixed_point(C, B), C, B)
         assert report.clearing_set == (1,)
         assert report.R == pytest.approx(0.5, rel=1e-12)
+
+    def test_solve_keeps_clearing_set_and_recession(self, s):
+        # The regularization weights scale with the data, so the solve ends
+        # at the same equilibrium in any unit, up to rounding.
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            C, B = random_economy(rng)
+            unit = solve_fixed_point(C, B)
+            scaled = solve_fixed_point(s * C, s * B)
+            assert scaled.clearing_set == unit.clearing_set
+            assert degeneracy_report(scaled, s * C, s * B).R == pytest.approx(
+                degeneracy_report(unit, C, B).R, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("j", [-40, -20, 20, 40])
+def test_solve_at_a_power_of_two_scale_is_bit_identical(j):
+    # Multiplying by 2**j is exact in floats, and so is every step of the
+    # solve on the scaled data: the same prices, the same path.
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        C, B = random_economy(rng)
+        unit = solve_fixed_point(C, B)
+        scaled = solve_fixed_point(np.ldexp(C, j), np.ldexp(B, j))
+        assert scaled.p0.p.tobytes() == unit.p0.p.tobytes()
+        assert scaled.iterations == unit.iterations
+        np.testing.assert_array_equal(scaled.excess, np.ldexp(unit.excess, j))
 
 
 def test_solve_does_not_depend_on_memory_layout():

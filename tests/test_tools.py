@@ -145,9 +145,9 @@ class TestDirectSolves:
         messages = [
             "converged point violates the equilibrium inequalities by 1.0e+08 at good 3",
             "converged point violates the equilibrium inequalities by 2.0e+08 at good 5",
-            "stage epsilon=5.960e-10 stalled after 2893 map evaluations (residual not "
+            "the last stage stalled after 2893 map evaluations (residual not "
             "halved in 2000); residual 2.9e-08",
-            "stage epsilon=5.960e-10 hit the 200000-evaluation cap after 200000 map "
+            "the last stage hit the 200000-evaluation cap after 200000 map "
             "evaluations; residual 1.0e-09",
             "no good clears at the converged point; tighten tolerances",
             "aggregate cost identity violated by 1.000e-03",
